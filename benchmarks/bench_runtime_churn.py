@@ -11,6 +11,7 @@ the surviving packets staying in the no-churn ballpark.
 from __future__ import annotations
 
 from repro.core.collector import run_addc_collection
+from repro.faults import FaultEvent, FaultPlan
 from repro.network.deployment import deploy_crn
 from repro.rng import StreamFactory
 
@@ -23,17 +24,17 @@ def test_collection_under_churn(benchmark, base_config):
     n = topology.secondary.num_sus
     choice_rng = factory.stream("leavers")
 
-    def schedule_for(count):
+    def plan_for(count):
         if count == 0:
             return None
         leavers = choice_rng.choice(
             list(topology.secondary.su_ids()), size=count, replace=False
         )
         # Spread departures across the collection's early phase.
-        return {
-            50 + 150 * index: [int(node)]
+        return FaultPlan.from_events(
+            FaultEvent.crash(50 + 150 * index, int(node))
             for index, node in enumerate(leavers)
-        }
+        )
 
     def run_sweep():
         results = []
@@ -42,7 +43,7 @@ def test_collection_under_churn(benchmark, base_config):
                 topology,
                 factory.spawn(f"churn-{count}"),
                 blocking=base_config.blocking,
-                departure_schedule=schedule_for(count),
+                fault_plan=plan_for(count),
                 with_bounds=False,
                 max_slots=base_config.max_slots,
             )

@@ -25,8 +25,8 @@ Commands
 ``trace``      NDJSON traces: ``export`` (stream a run's events to disk),
                ``stats`` (summarize a trace/v1 or trace/v2 file), and
                ``tree`` (render a job's merged trace/v2 span tree)
-``checkpoint`` crash-safe journals: ``inspect`` (summarize), ``verify``
-               (validate), ``smoke`` (run/kill/resume byte-identity check)
+``checkpoint`` crash-safe journals: ``inspect`` (summarize) and ``verify``
+               (validate)
 ``serve``      run the fault-tolerant experiment daemon (service/v1 over
                a local AF_UNIX socket; see docs/SERVICE.md)
 ``service``    talk to a running daemon: ``submit``, ``status``, ``top``
@@ -944,99 +944,6 @@ def _cmd_checkpoint_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_checkpoint_smoke(args: argparse.Namespace) -> int:
-    """CI resume smoke: run, tear the journal mid-record, resume, compare.
-
-    Simulates the exact on-disk state a ``SIGKILL`` leaves behind — a
-    journal cut mid-line — then asserts the resumed sweep's saved artifact
-    is byte-identical to the uninterrupted run's.  (The real signal-driven
-    kill tests live in ``tests/test_harness.py``; this check is the fast,
-    deterministic CI variant.)
-    """
-    import dataclasses as _dataclasses
-    import tempfile
-    from pathlib import Path
-
-    from repro import obs
-    from repro.experiments.fig6 import sweep_point_configs
-    from repro.experiments.io import save_sweep
-    from repro.harness import run_checkpointed_sweep, verify_checkpoint
-
-    config = _SCALES["quick"]().with_overrides(
-        area=30.0 * 30.0,
-        num_pus=4,
-        num_sus=20,
-        repetitions=2,
-        max_slots=200_000,
-        seed=20120612,
-    )
-    sweep = _dataclasses.replace(
-        FIG6_SWEEPS["fig6c"], values=FIG6_SWEEPS["fig6c"].values[:2]
-    )
-    points = sweep_point_configs(sweep, config)
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        full_journal = base / "full.checkpoint.ndjson"
-        kill_journal = base / "kill.checkpoint.ndjson"
-        full = run_checkpointed_sweep(
-            "smoke", points, checkpoint_path=full_journal, workers=args.workers
-        )
-        save_sweep(base / "full.json", "smoke", full.points)
-        run_checkpointed_sweep(
-            "smoke", points, checkpoint_path=kill_journal, workers=args.workers
-        )
-        # Tear the journal the way SIGKILL does: keep the header plus one
-        # whole record, then cut the next record mid-line.
-        lines = kill_journal.read_bytes().split(b"\n")
-        if len(lines) < 4:
-            print("SMOKE FAIL: journal too short to tear", file=sys.stderr)
-            return 1
-        kill_journal.write_bytes(
-            b"\n".join(lines[:2]) + b"\n" + lines[2][: len(lines[2]) // 2]
-        )
-        recorder = obs.MetricsRecorder()
-        with obs.use_recorder(recorder):
-            resumed = run_checkpointed_sweep(
-                "smoke",
-                points,
-                checkpoint_path=kill_journal,
-                resume=True,
-                workers=args.workers,
-            )
-        save_sweep(base / "resumed.json", "smoke", resumed.points)
-        if resumed.cached_items != 1:
-            print(
-                "SMOKE FAIL: expected 1 cached item after the tear, got "
-                f"{resumed.cached_items}",
-                file=sys.stderr,
-            )
-            return 1
-        if recorder.counters.get("harness.checkpoint.torn_tail") != 1:
-            print(
-                "SMOKE FAIL: torn tail was not detected "
-                f"({recorder.counters})",
-                file=sys.stderr,
-            )
-            return 1
-        full_bytes = (base / "full.json").read_bytes()
-        resumed_bytes = (base / "resumed.json").read_bytes()
-        if full_bytes != resumed_bytes:
-            print(
-                "SMOKE FAIL: resumed artifact differs from uninterrupted run",
-                file=sys.stderr,
-            )
-            return 1
-        problems = verify_checkpoint(kill_journal)
-        if problems:
-            print(
-                f"SMOKE FAIL: resumed journal fails verify: {problems}",
-                file=sys.stderr,
-            )
-            return 1
-    print("checkpoint smoke OK")
-    return 0
-
-
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.experiments.scenarios import get_scenario, list_scenarios
 
@@ -1858,19 +1765,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also require this sweep fingerprint",
     )
     checkpoint_verify.set_defaults(handler=_cmd_checkpoint_verify)
-
-    checkpoint_smoke = checkpoint_commands.add_parser(
-        "smoke",
-        help="CI mode: run a tiny sweep, tear the journal, resume, "
-        "assert byte-identical artifacts",
-    )
-    checkpoint_smoke.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker processes for the smoke sweep (default: 2)",
-    )
-    checkpoint_smoke.set_defaults(handler=_cmd_checkpoint_smoke)
 
     serve = commands.add_parser(
         "serve",

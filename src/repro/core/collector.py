@@ -57,7 +57,6 @@ def run_addc_collection(
     num_channels: int = 1,
     channel_strategy: str = "random-idle",
     packet_slots: int = 1,
-    departure_schedule=None,
     fault_plan=None,
     max_slots: int = 2_000_000,
     fast_forward: bool = True,
@@ -133,7 +132,6 @@ def run_addc_collection(
         channel_plan=channel_plan,
         channel_strategy=channel_strategy,
         packet_slots=packet_slots,
-        departure_schedule=departure_schedule,
         fault_plan=fault_plan,
         slot_duration_ms=slot_duration_ms,
         contention_window_ms=contention_window_ms,

@@ -112,19 +112,16 @@ def deploy_for_repetition(
 
     Re-derives the repetition's stream factory from ``(seed, repetition)``
     and runs the normal placement path, so the returned topology is
-    byte-identical to the one :func:`run_comparison_repetition` would
-    build itself.  The placement streams are throwaway (they never appear
-    in ``rng_positions()``), which is what lets the parallel executor
-    deploy in the parent and ship only the resulting arrays to workers.
+    byte-identical to the one :func:`run_comparison_repetition` builds
+    itself — for callers that want to time or reuse one repetition's
+    deployment on its own.
     """
     factory = StreamFactory(config.seed).spawn(f"rep-{repetition}")
     return deploy_crn(config.deployment_spec(), factory)
 
 
 def run_comparison_repetition(
-    config: ExperimentConfig,
-    repetition: int,
-    topology: "CrnTopology | None" = None,
+    config: ExperimentConfig, repetition: int
 ) -> RepetitionMeasurement:
     """Run one repetition of the ADDC-vs-Coolest comparison.
 
@@ -133,18 +130,11 @@ def run_comparison_repetition(
     RNG lineage (``StreamFactory(seed).spawn(f"rep-{i}")``) from nothing
     but the picklable ``(config, repetition)`` pair — which is what makes
     parallel results byte-identical to serial order.
-
-    ``topology`` short-circuits deployment with a pre-built CRN (it must
-    equal what :func:`deploy_for_repetition` returns for the same pair) —
-    the shared-memory fast path for warm workers.  Engine streams are
-    derived by name, never by draw order, so skipping the placement draws
-    leaves every recorded RNG position untouched.
     """
     root = StreamFactory(config.seed)
     with obs.span("sweep.repetition"):
         factory = root.spawn(f"rep-{repetition}")
-        if topology is None:
-            topology = deploy_crn(config.deployment_spec(), factory)
+        topology = deploy_crn(config.deployment_spec(), factory)
         addc = run_addc_collection(
             topology,
             factory.spawn("addc"),

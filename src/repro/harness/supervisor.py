@@ -1,6 +1,7 @@
 """Supervised execution of sweep work items: deadlines, retries, quarantine.
 
-:class:`WorkerSupervisor` wraps the same ``spawn`` process-pool fan-out as
+:class:`WorkerSupervisor` submits work items one by one to the same
+warm ``spawn`` pool (:class:`~repro.perf.pool.WarmWorkerPool`) as
 :class:`repro.perf.executor.ParallelSweepExecutor`, then survives what the
 plain executor cannot:
 
@@ -248,7 +249,6 @@ class WorkerSupervisor:
         self,
         workers: int,
         policy: Optional[RetryPolicy] = None,
-        start_method: str = "spawn",
         clock: Callable[[], float] = monotonic_s,
         sleep: Callable[[float], None] = sleep_s,
         pool: Optional[WarmWorkerPool] = None,
@@ -257,7 +257,6 @@ class WorkerSupervisor:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
         self.policy = policy if policy is not None else RetryPolicy()
-        self.start_method = start_method
         self._clock = clock
         self._sleep = sleep
         self._injected_pool = pool
@@ -352,7 +351,7 @@ class WorkerSupervisor:
         pool = self._injected_pool
         owned = pool is None
         if owned:
-            pool = WarmWorkerPool(self.workers, self.start_method)
+            pool = WarmWorkerPool(self.workers)
 
         def submit(tracker: ItemTracker) -> bool:
             now = self._clock()

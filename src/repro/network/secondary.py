@@ -78,21 +78,6 @@ class SecondaryNetwork:
             self._graph = Graph.from_positions(self.positions, self.radius)
         return self._graph
 
-    def install_graph(self, graph: Graph) -> None:
-        """Install a pre-built ``G_s`` into the lazy cache.
-
-        Used by parallel workers that receive the graph through shared
-        memory: installing it skips the spatial re-derivation entirely,
-        keeping the worker's metric counters identical to a serial run
-        that built the graph at deployment time.
-        """
-        if graph.num_nodes != self.num_nodes:
-            raise ConfigurationError(
-                f"graph covers {graph.num_nodes} nodes, network has "
-                f"{self.num_nodes}"
-            )
-        self._graph = graph
-
     def __repr__(self) -> str:
         return (
             f"SecondaryNetwork(num_sus={self.num_sus}, power={self.power}, "

@@ -1,16 +1,14 @@
 """``repro.perf`` — warm parallel sweep execution and benchmarks.
 
-Three halves, all pinned bit-identical to the serial/scalar code paths:
+Both halves are pinned bit-identical to the serial/scalar code paths:
 
-* :mod:`repro.perf.executor` — batched (sweep point × repetition) work
-  fanned over a warm ``spawn`` process pool.  Workers re-derive their
-  named RNG streams from the picklable ``(config, repetition)`` pair, so
-  the gathered results are byte-identical to serial order for any worker
+* :mod:`repro.perf.executor` — (sweep point × repetition) work items
+  fanned one by one over a warm ``spawn`` process pool
+  (:mod:`repro.perf.pool`) that spawns once per executor (or daemon)
+  lifetime.  Workers re-derive their named RNG streams — deployment
+  included — from the picklable ``(config, repetition)`` pair, so the
+  gathered results are byte-identical to serial order for any worker
   count and completion order.
-* :mod:`repro.perf.pool` / :mod:`repro.perf.shm` — the warm-pool and
-  shared-memory substrate: processes spawn once per executor (or daemon)
-  lifetime, and per-repetition topology arrays ship as shared segments
-  instead of re-pickled numpy payloads.
 * :mod:`repro.perf.reference` — the original scalar (dict-of-buckets)
   ``GridIndex`` kept as an executable specification; the property tests
   and ``addc-repro perf bench`` check the vectorized CSR index against
@@ -25,31 +23,17 @@ facade, and writes ``BENCH_perf.json``.
 from repro.perf.executor import (
     ParallelSweepExecutor,
     RepetitionOutcome,
-    SweepWorkBatch,
     SweepWorkItem,
-    execute_work_batch,
     execute_work_item,
 )
 from repro.perf.pool import WarmWorkerPool
 from repro.perf.reference import ScalarGridIndex
-from repro.perf.shm import (
-    ArraySpec,
-    SegmentDescriptor,
-    SharedArrayStore,
-    attach_segment,
-)
 
 __all__ = [
     "ParallelSweepExecutor",
     "RepetitionOutcome",
-    "SweepWorkBatch",
     "SweepWorkItem",
-    "execute_work_batch",
     "execute_work_item",
     "WarmWorkerPool",
     "ScalarGridIndex",
-    "ArraySpec",
-    "SegmentDescriptor",
-    "SharedArrayStore",
-    "attach_segment",
 ]

@@ -83,11 +83,11 @@ def _run_parallel_once(
 def _bench_sweep(config: ExperimentConfig, reps: int, workers: int) -> Dict:
     """Time the comparison repetitions serially and through the pool.
 
-    Three timed passes: serial, cold parallel (transient pool — spawn
-    cost included, the pre-warm-pool behaviour), and warm parallel (a
-    context-entered executor whose pool was already primed by a previous
-    ``run_items`` call, which is what sweeps and the daemon actually
-    pay per point/job).  Every parallel pass is equality-checked against
+    Three timed passes: serial, cold parallel (the first ``run_items``
+    of a freshly entered executor — spawn cost included, what a one-point
+    sweep pays), and warm parallel (a second ``run_items`` on the same
+    pool, which is what sweeps and the daemon actually pay per
+    point/job).  Every parallel pass is equality-checked against
     serial — measurements, RNG positions, and merged metric snapshots —
     so a drifting kernel fails the bench rather than skewing it.
     """
@@ -105,12 +105,10 @@ def _bench_sweep(config: ExperimentConfig, reps: int, workers: int) -> Dict:
         )
         for rep in range(reps)
     ]
-    cold_s = _run_parallel_once(
-        ParallelSweepExecutor(workers), items, serial, serial_recorder, "cold"
-    )
     with ParallelSweepExecutor(workers) as executor:
-        # Prime the pool (checked, untimed), then time the warm pass.
-        _run_parallel_once(executor, items, serial, serial_recorder, "prime")
+        cold_s = _run_parallel_once(
+            executor, items, serial, serial_recorder, "cold"
+        )
         warm_s = _run_parallel_once(
             executor, items, serial, serial_recorder, "warm"
         )

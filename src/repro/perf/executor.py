@@ -9,31 +9,21 @@ a worker process can re-derive the exact same streams from nothing but
 the picklable :class:`SweepWorkItem`, so fanning out changes wall-clock
 and nothing else.
 
-v2 adds a warm execution path on top of that contract:
-
-* The executor is a **context manager**: entering it spins up one
-  :class:`~repro.perf.pool.WarmWorkerPool` (or borrows an injected one)
-  and one :class:`~repro.perf.shm.SharedArrayStore`, and every
-  ``run_items`` call inside the ``with`` block reuses them — no more
-  spawn cost per sweep point.
-* Items are grouped into :class:`SweepWorkBatch`\\ es per sweep point, so
-  the config and :class:`~repro.obs.tracing.TraceContext` pickle once
-  per batch instead of once per repetition.
-* The parent **pre-deploys** each repetition's topology (placement
-  streams are throwaway — never part of ``rng_positions()``) and
-  publishes positions plus the ``G_s`` adjacency through shared memory;
-  workers rebuild the topology from the arrays without a single
-  placement draw or spatial query, keeping their metric counters
-  byte-identical to the serial path.
+The executor is a **context manager** with one lifecycle and one
+transport: entering it starts one :class:`~repro.perf.pool.
+WarmWorkerPool`, every ``run_items`` call inside the ``with`` block
+submits :func:`execute_work_item` once per item to that pool, and
+leaving the block closes it.  The checkpoint harness and the service
+daemon submit the very same entry point through
+:class:`~repro.harness.supervisor.WorkerSupervisor`.
 
 Determinism contract
 --------------------
 * Workers are started with the ``spawn`` method (fresh interpreters; no
   fork-time RNG or import-state inheritance).
-* Work item payloads are plain picklable data; the worker entry points
-  :func:`execute_work_item` and :func:`execute_work_batch` are
-  **top-level module functions** (enforced by reprolint rule PERF001)
-  so they pickle under ``spawn``.
+* Work item payloads are plain picklable data; the worker entry point
+  :func:`execute_work_item` is a **top-level module function** (enforced
+  by reprolint rule PERF001) so it pickles under ``spawn``.
 * Results are gathered in **submission order**, never completion order,
   and metric snapshots are merged in that same order — the parent-side
   registry is reproducible even though worker finish times are not.
@@ -43,16 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 import repro.obs as obs
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     RepetitionMeasurement,
-    deploy_for_repetition,
     run_comparison_repetition,
 )
 from repro.obs.tracing import (
@@ -62,14 +49,11 @@ from repro.obs.tracing import (
     write_shard,
 )
 from repro.perf.pool import WarmWorkerPool
-from repro.perf.shm import SegmentDescriptor, SharedArrayStore, attach_segment
 
 __all__ = [
     "SweepWorkItem",
-    "SweepWorkBatch",
     "RepetitionOutcome",
     "execute_work_item",
-    "execute_work_batch",
     "ParallelSweepExecutor",
 ]
 
@@ -93,25 +77,6 @@ class SweepWorkItem:
     trace_dir: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SweepWorkBatch:
-    """Several repetitions of one sweep point, pickled as one payload.
-
-    The config and trace context ship once per batch; ``topology``
-    optionally carries a shared-memory descriptor with per-repetition
-    topology arrays (``su-{rep}``, ``pu-{rep}``, ``indptr-{rep}``,
-    ``indices-{rep}``) published by the parent.
-    """
-
-    point_index: int
-    config: ExperimentConfig
-    repetitions: Tuple[int, ...]
-    collect_metrics: bool = False
-    trace: Optional[TraceContext] = None
-    trace_dir: Optional[str] = None
-    topology: Optional[SegmentDescriptor] = None
-
-
 @dataclass
 class RepetitionOutcome:
     """What a worker sends back for one repetition of one sweep point."""
@@ -123,185 +88,69 @@ class RepetitionOutcome:
     profile: Optional[Dict] = None
 
 
-def _execute_repetition(
-    point_index: int,
-    repetition: int,
-    config: ExperimentConfig,
-    collect_metrics: bool,
-    trace: Optional[TraceContext],
-    trace_dir: Optional[str],
-    topology=None,
-) -> RepetitionOutcome:
-    """Run one repetition; shared by the item and batch entry points.
-
-    A fresh recorder is installed *per repetition* (not per batch) so the
-    snapshot/profile stream the parent merges is indistinguishable from
-    the one-item-per-pickle path — batching is a transport optimization,
-    never an observability change.
-    """
-    if collect_metrics:
-        recorder = obs.MetricsRecorder()
-        with obs.use_recorder(recorder):
-            measurement = run_comparison_repetition(
-                config, repetition, topology=topology
-            )
-        profile = recorder.profile()
-        if trace is not None and trace_dir is not None:
-            # One trace/v2 shard per repetition.  Span identity derives
-            # only from the job fingerprint and (point, repetition), so a
-            # crashed-and-resumed sweep re-derives identical shards from
-            # its journalled profiles.
-            spans = build_repetition_spans(
-                trace, point_index, repetition, profile
-            )
-            write_shard(
-                Path(trace_dir) / shard_filename(point_index, repetition),
-                trace.trace_id,
-                point_index,
-                repetition,
-                spans,
-            )
-        return RepetitionOutcome(
-            point_index=point_index,
-            repetition=repetition,
-            measurement=measurement,
-            metrics=recorder.snapshot(),
-            profile=profile,
-        )
-    measurement = run_comparison_repetition(
-        config, repetition, topology=topology
-    )
-    return RepetitionOutcome(
-        point_index=point_index,
-        repetition=repetition,
-        measurement=measurement,
-    )
-
-
 def execute_work_item(item: SweepWorkItem) -> RepetitionOutcome:
-    """Run one work item (the per-item worker entry point).
+    """Run one work item (the worker entry point).
 
     Top-level by design so it is picklable under the ``spawn`` start
     method; reprolint rule PERF001 keeps it (and any future worker
     functions) that way.  Also runs inline in the parent when
     ``workers=1`` — the serial and parallel paths execute the same code.
     """
-    return _execute_repetition(
-        item.point_index,
-        item.repetition,
-        item.config,
-        item.collect_metrics,
-        item.trace,
-        item.trace_dir,
-    )
-
-
-def _rebuild_topology(
-    config: ExperimentConfig, repetition: int, arrays: Dict[str, np.ndarray]
-):
-    """Reassemble a CRN from shared-memory arrays (worker side).
-
-    Mirrors :func:`repro.network.deployment.deploy_crn` output exactly:
-    same region, same positions, same default activity model, and the
-    pre-built ``G_s`` installed so no spatial query re-runs.  Arrays are
-    copied out of the shared pages — the topology must not dangle on a
-    segment the parent may unlink between batches.
-    """
-    from repro.geometry import SquareRegion
-    from repro.graphs import Graph
-    from repro.network.primary import BernoulliActivity, PrimaryNetwork
-    from repro.network.secondary import SecondaryNetwork
-    from repro.network.topology import CrnTopology
-
-    spec = config.deployment_spec()
-    region = SquareRegion.from_area(spec.area)
-    primary = PrimaryNetwork(
-        positions=arrays[f"pu-{repetition}"].copy(),
-        power=spec.pu_power,
-        radius=spec.pu_radius,
-        activity=BernoulliActivity(spec.p_t),
-    )
-    secondary = SecondaryNetwork(
-        positions=arrays[f"su-{repetition}"].copy(),
-        power=spec.su_power,
-        radius=spec.su_radius,
-    )
-    secondary.install_graph(
-        Graph.from_adjacency_arrays(
-            arrays[f"indptr-{repetition}"].copy(),
-            arrays[f"indices-{repetition}"].copy(),
+    if not item.collect_metrics:
+        return RepetitionOutcome(
+            point_index=item.point_index,
+            repetition=item.repetition,
+            measurement=run_comparison_repetition(item.config, item.repetition),
         )
-    )
-    return CrnTopology(region=region, primary=primary, secondary=secondary)
-
-
-def execute_work_batch(batch: SweepWorkBatch) -> List[RepetitionOutcome]:
-    """Run every repetition in a batch (the batched worker entry point).
-
-    Top-level for ``spawn`` picklability (PERF001).  Outcomes come back
-    in the batch's repetition order; each repetition gets its own
-    recorder and its own trace shard, exactly like the per-item path.
-    """
-    arrays = (
-        attach_segment(batch.topology) if batch.topology is not None else None
-    )
-    outcomes: List[RepetitionOutcome] = []
-    for repetition in batch.repetitions:
-        topology = (
-            _rebuild_topology(batch.config, repetition, arrays)
-            if arrays is not None
-            else None
+    recorder = obs.MetricsRecorder()
+    with obs.use_recorder(recorder):
+        measurement = run_comparison_repetition(item.config, item.repetition)
+    profile = recorder.profile()
+    if item.trace is not None and item.trace_dir is not None:
+        # One trace/v2 shard per repetition.  Span identity derives only
+        # from the job fingerprint and (point, repetition), so a
+        # crashed-and-resumed sweep re-derives identical shards from its
+        # journalled profiles.
+        spans = build_repetition_spans(
+            item.trace, item.point_index, item.repetition, profile
         )
-        outcomes.append(
-            _execute_repetition(
-                batch.point_index,
-                repetition,
-                batch.config,
-                batch.collect_metrics,
-                batch.trace,
-                batch.trace_dir,
-                topology=topology,
-            )
+        write_shard(
+            Path(item.trace_dir)
+            / shard_filename(item.point_index, item.repetition),
+            item.trace.trace_id,
+            item.point_index,
+            item.repetition,
+            spans,
         )
-    return outcomes
+    return RepetitionOutcome(
+        point_index=item.point_index,
+        repetition=item.repetition,
+        measurement=measurement,
+        metrics=recorder.snapshot(),
+        profile=profile,
+    )
 
 
 class ParallelSweepExecutor:
-    """Fan sweep work over a warm ``spawn`` process pool.
+    """Fan sweep work items over one warm ``spawn`` process pool.
 
     ``workers=1`` executes inline (no pool, no pickling) so the executor
-    can be the single execution path for both modes.  Results always come
-    back in submission order.
-
-    Pool lifetime
-    -------------
-    Enter the executor as a context manager to keep one warm pool and
-    one shared-memory store across every ``run_items`` call::
+    is the single execution path for both modes.  With more workers the
+    executor must be entered; the pool lives exactly as long as the
+    ``with`` block, and every ``run_items`` call inside it reuses it::
 
         with ParallelSweepExecutor(workers=4) as executor:
             for point in sweep:
                 outcomes = executor.run_items(point_items)
 
-    Outside a ``with`` block ``run_items`` still works — it opens a
-    transient pool/store for the call and tears them down after, which
-    preserves the old semantics for one-shot callers.  An injected
-    ``pool`` (e.g. the service daemon's process-lifetime pool) is
-    borrowed, never closed, so it stays warm across jobs.
+    Results always come back in submission order.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        start_method: str = "spawn",
-        pool: Optional[WarmWorkerPool] = None,
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.start_method = start_method
-        self._injected_pool = pool
-        self._owned_pool: Optional[WarmWorkerPool] = None
-        self._store: Optional[SharedArrayStore] = None
+        self._pool: Optional[WarmWorkerPool] = None
         self._entered = False
 
     def __enter__(self) -> "ParallelSweepExecutor":
@@ -309,116 +158,27 @@ class ParallelSweepExecutor:
             raise RuntimeError("ParallelSweepExecutor already entered")
         self._entered = True
         if self.workers > 1:
-            if self._injected_pool is None:
-                self._owned_pool = WarmWorkerPool(
-                    self.workers, self.start_method
-                )
-            self._store = SharedArrayStore()
+            self._pool = WarmWorkerPool(self.workers)
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._entered = False
-        owned, self._owned_pool = self._owned_pool, None
-        store, self._store = self._store, None
-        if owned is not None:
-            owned.close()
-        if store is not None:
-            store.close()
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
 
     def run_items(
         self, items: Sequence[SweepWorkItem]
     ) -> List[RepetitionOutcome]:
         """Execute every item; returns outcomes in submission order."""
-        items = list(items)
-        if self.workers == 1 or len(items) <= 1:
+        if self.workers == 1:
             return [execute_work_item(item) for item in items]
-        if self._entered:
-            pool = self._injected_pool or self._owned_pool
-            return self._run_batched(pool, self._store, items)
-        if self._injected_pool is not None:
-            with SharedArrayStore() as store:
-                return self._run_batched(self._injected_pool, store, items)
-        with WarmWorkerPool(self.workers, self.start_method) as pool:
-            with SharedArrayStore() as store:
-                return self._run_batched(pool, store, items)
-
-    def _run_batched(
-        self,
-        pool: WarmWorkerPool,
-        store: SharedArrayStore,
-        items: List[SweepWorkItem],
-    ) -> List[RepetitionOutcome]:
-        batches = self._plan_batches(items)
-        futures = []
-        for batch_items in batches:
-            batch = self._publish_batch(store, batch_items)
-            futures.append(pool.submit(execute_work_batch, batch))
-        # Gather strictly in submission order: completion order must
-        # not be observable anywhere downstream.
-        outcomes: List[RepetitionOutcome] = []
-        for future in futures:
-            outcomes.extend(future.result())
-        return outcomes
-
-    def _plan_batches(
-        self, items: List[SweepWorkItem]
-    ) -> List[List[SweepWorkItem]]:
-        """Group consecutive same-point items, then chunk for pipelining.
-
-        Batches never span sweep points (one config pickle per batch is
-        the whole purpose), and each point's repetitions are chunked so
-        the pool has at least ~2 batches per worker in flight — batching
-        must not serialize a single large point onto one worker.
-        """
-        groups: List[List[SweepWorkItem]] = []
-        for item in items:
-            head = groups[-1][0] if groups else None
-            if (
-                head is not None
-                and head.point_index == item.point_index
-                and head.config == item.config
-                and head.collect_metrics == item.collect_metrics
-                and head.trace == item.trace
-                and head.trace_dir == item.trace_dir
-            ):
-                groups[-1].append(item)
-            else:
-                groups.append([item])
-        target = max(1, len(items) // (2 * self.workers))
-        batches: List[List[SweepWorkItem]] = []
-        for group in groups:
-            chunk = min(len(group), target)
-            for start in range(0, len(group), chunk):
-                batches.append(group[start : start + chunk])
-        return batches
-
-    @staticmethod
-    def _publish_batch(
-        store: SharedArrayStore, batch_items: List[SweepWorkItem]
-    ) -> SweepWorkBatch:
-        """Pre-deploy the batch's topologies and publish them over shm.
-
-        Deployment runs in the parent on purpose: the placement streams
-        it consumes are throwaway, and the spatial queries it performs
-        land in the parent's recorder exactly where the serial path puts
-        them — workers then skip both, so merged metric snapshots stay
-        byte-identical to serial.
-        """
-        head = batch_items[0]
-        arrays: Dict[str, np.ndarray] = {}
-        for item in batch_items:
-            topology = deploy_for_repetition(item.config, item.repetition)
-            indptr, indices = topology.secondary.graph.to_adjacency_arrays()
-            arrays[f"su-{item.repetition}"] = topology.secondary.positions
-            arrays[f"pu-{item.repetition}"] = topology.primary.positions
-            arrays[f"indptr-{item.repetition}"] = indptr
-            arrays[f"indices-{item.repetition}"] = indices
-        return SweepWorkBatch(
-            point_index=head.point_index,
-            config=head.config,
-            repetitions=tuple(item.repetition for item in batch_items),
-            collect_metrics=head.collect_metrics,
-            trace=head.trace,
-            trace_dir=head.trace_dir,
-            topology=store.publish(arrays),
-        )
+        if self._pool is None:
+            raise RuntimeError(
+                "a multi-worker ParallelSweepExecutor runs items only "
+                "inside its `with` block"
+            )
+        futures = [self._pool.submit(execute_work_item, item) for item in items]
+        # Gather strictly in submission order: completion order must not
+        # be observable anywhere downstream.
+        return [future.result() for future in futures]

@@ -10,9 +10,9 @@ the supervisor ``rebuild``\\ s it in place (same object, fresh processes)
 after a crash or deadline instead of throwing the object away.
 
 Determinism is unaffected by pool lifetime: workers hold no sweep state
-between items beyond explicitly keyed caches (the shared-memory attach
-cache in :mod:`repro.perf.shm`), and results are always gathered in
-submission order by the callers.
+between items — each item re-derives everything it needs from its own
+picklable payload — and results are always gathered in submission order
+by the callers.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ from typing import Optional
 from repro.errors import ConfigurationError
 
 __all__ = ["WarmWorkerPool"]
+
+#: Fresh interpreters per worker: no fork-time RNG or import-state
+#: inheritance, the precondition of the serial == parallel contract.
+START_METHOD = "spawn"
 
 
 class WarmWorkerPool:
@@ -39,11 +43,10 @@ class WarmWorkerPool:
     The pool is a context manager; exit calls ``close``.
     """
 
-    def __init__(self, workers: int, start_method: str = "spawn") -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.start_method = start_method
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
@@ -57,7 +60,7 @@ class WarmWorkerPool:
         if self._closed:
             raise RuntimeError("WarmWorkerPool is closed")
         if self._pool is None:
-            context = multiprocessing.get_context(self.start_method)
+            context = multiprocessing.get_context(START_METHOD)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers, mp_context=context
             )

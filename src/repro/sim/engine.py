@@ -195,20 +195,15 @@ class SlottedEngine:
         ordinary loop automatically.
     trace:
         Optional :class:`~repro.sim.trace.TraceLog` to record events into.
-    departure_schedule:
-        Optional ``{slot: [node, ...]}`` of SUs powering off mid-run
-        (Section I's churn, injected at runtime).  At each listed slot the
-        nodes leave: their queued data packets are lost (counted in
-        ``packets_lost``), in-flight transmissions abort, and the policy's
-        ``on_node_departure(node)`` hook repairs the routing structure and
-        reports any nodes the departure *partitioned* — those retire (and
-        lose their data) too.  The run completes when every data packet is
-        delivered or lost.  Equivalent to a :class:`~repro.faults.FaultPlan`
-        of ``crash`` events; both may be given and are merged.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` of scripted adversity
-        (see :mod:`repro.faults`).  Crash-stop events behave exactly like
-        ``departure_schedule`` entries.  A transient ``outage`` takes the
+        (see :mod:`repro.faults`).  A ``crash`` event is Section I's
+        churn injected at runtime: the node powers off for good, its
+        queued data packets are lost (counted in ``packets_lost``),
+        in-flight transmissions abort, and the policy's
+        ``on_node_departure(node)`` hook repairs the routing structure and
+        reports any nodes the departure *partitioned* — those retire (and
+        lose their data) too.  A transient ``outage`` takes the
         node down without losing it: its queue is kept (or dropped when the
         event says so — dropped data counts as lost *and* orphaned), the
         policy repairs the routing structure around it, nodes the repair
@@ -249,7 +244,6 @@ class SlottedEngine:
         channel_strategy: str = "random-idle",
         packet_slots: int = 1,
         detector=None,
-        departure_schedule=None,
         fault_plan: Optional[FaultPlan] = None,
         slot_duration_ms: float = 1.0,
         contention_window_ms: float = 0.5,
@@ -335,28 +329,12 @@ class SlottedEngine:
                 )
             self._imperfect_sensing = True
         self._sensing_rng = streams.stream("sensing-errors")
-        # Unified fault machinery: legacy departure schedules become
-        # crash-stop FaultEvents so one code path applies all adversity.
-        scripted: List[FaultEvent] = []
-        if departure_schedule:
-            su_ids = set(topology.secondary.su_ids())
-            for slot_key, nodes in sorted(
-                departure_schedule.items(), key=lambda item: int(item[0])
-            ):
-                slot_index = int(slot_key)
-                if slot_index < 0:
-                    raise ConfigurationError("departure slots must be >= 0")
-                for leaver in nodes:
-                    if leaver not in su_ids:
-                        raise ConfigurationError(
-                            f"departing node {leaver} is not an SU"
-                        )
-                    scripted.append(FaultEvent.crash(slot_index, int(leaver)))
+        scripted: Tuple[FaultEvent, ...] = ()
         if fault_plan is not None:
             fault_plan.validate_for(
                 topology.secondary.su_ids(), topology.secondary.base_station
             )
-            scripted.extend(fault_plan.events)
+            scripted = fault_plan.events
         if blocking == "homogeneous" and any(
             event.kind == "stuck-idle" for event in scripted
         ):
@@ -366,10 +344,10 @@ class SlottedEngine:
                 "so a pinned-idle detector there would transmit consequence-"
                 "free (stuck-busy faults are fine in either mode)"
             )
-        # Onset events per slot; the stable sort keys on the slot alone, so
-        # same-slot events apply in authoring order (departures first).
+        # Onset events per slot; the plan is slot-sorted and stable within
+        # a slot, so same-slot events apply in authoring order.
         self._fault_onsets: Dict[int, List[FaultEvent]] = {}
-        for event in sorted(scripted, key=lambda item: item.slot):
+        for event in scripted:
             self._fault_onsets.setdefault(event.slot, []).append(event)
         #: Window-end events per slot (sensing / link / blackout faults).
         self._fault_expiries: Dict[int, List[FaultEvent]] = {}

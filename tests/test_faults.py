@@ -236,35 +236,6 @@ class TestGenerators:
 
 
 class TestCrashFaults:
-    def test_scripted_crash_equals_departure_schedule(
-        self, quick_topology, streams
-    ):
-        """``departure_schedule`` and crash events share one code path."""
-        plan = FaultPlan.from_events(
-            [
-                FaultEvent.crash(50, 5),
-                FaultEvent.crash(300, 9),
-                FaultEvent.crash(300, 14),
-            ]
-        )
-        via_plan = run_addc_collection(
-            quick_topology,
-            streams.spawn("crash-eq"),
-            blocking="homogeneous",
-            fault_plan=plan,
-            with_bounds=False,
-        ).result
-        via_schedule = run_addc_collection(
-            quick_topology,
-            streams.spawn("crash-eq"),
-            blocking="homogeneous",
-            departure_schedule={50: [5], 300: [9, 14]},
-            with_bounds=False,
-        ).result
-        assert asdict(via_plan) == asdict(via_schedule)
-        assert via_plan.completed
-        assert via_plan.fault_event_count >= 1
-
     def test_crash_record_stays_open(self, quick_topology, streams):
         result = run_addc_collection(
             quick_topology,

@@ -585,6 +585,8 @@ class TestCheckpointedSweep:
         assert [point.rng_positions for _, point in resumed.points] == [
             point.rng_positions for _, point in plain_points
         ]
+        # The repaired-then-appended journal is itself valid on disk.
+        assert verify_checkpoint(journal, config_hash=resumed.config_hash) == []
 
     def test_injected_warm_pool_survives_run_and_resume(
         self, tmp_path, plain_points

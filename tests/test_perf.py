@@ -10,9 +10,7 @@ CSR ``GridIndex`` must return exactly what a brute-force distance scan
 from __future__ import annotations
 
 import json
-import os
 import pickle
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -35,14 +33,10 @@ from repro.obs.recorder import MetricsRecorder, NullRecorder
 from repro.perf import (
     ParallelSweepExecutor,
     ScalarGridIndex,
-    SharedArrayStore,
     SweepWorkItem,
     WarmWorkerPool,
-    attach_segment,
-    execute_work_batch,
     execute_work_item,
 )
-from repro.perf.shm import detach_all
 from repro.rng import StreamFactory
 from repro.routing.coolest import run_coolest_collection
 
@@ -356,23 +350,6 @@ def _pool_square(value):
     return value * value
 
 
-def _attach_then_die(descriptor):
-    attach_segment(descriptor)
-    os._exit(17)  # simulates an OOM kill with the mapping still open
-
-
-def _shm_segments():
-    """Names of live repro shared-memory segments (empty off-Linux)."""
-    try:
-        return {
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith("repro-")
-        }
-    except OSError:
-        return set()
-
-
 class TestWarmWorkerPool:
     def test_invalid_worker_count_raises(self):
         with pytest.raises(ConfigurationError):
@@ -402,118 +379,29 @@ class TestWarmWorkerPool:
 
 
 # --------------------------------------------------------------------- #
-# Shared-memory topology store                                          #
+# Warm executor: byte-identity across reuse, merged metrics included    #
 # --------------------------------------------------------------------- #
 
 
-class TestSharedArrayStore:
-    def test_publish_attach_round_trip_and_unlink(self):
-        before = _shm_segments()
-        arrays = {
-            "a": np.arange(12, dtype=np.float64).reshape(3, 4),
-            "b": np.array([], dtype=np.int64),
-            "c": np.arange(5, dtype=np.int64),
-        }
-        with SharedArrayStore() as store:
-            descriptor = store.publish(arrays)
-            views = attach_segment(descriptor)
-            assert set(views) == set(arrays)
-            for name, array in arrays.items():
-                assert views[name].dtype == array.dtype
-                assert views[name].shape == array.shape
-                np.testing.assert_array_equal(views[name], array)
-            # The attach cache returns the same mapping for the same
-            # segment instead of re-mapping it.
-            assert attach_segment(descriptor) is views
-        detach_all()
-        # close() unlinked the segment: nothing leaked, nothing to attach.
-        assert _shm_segments() == before
-        with pytest.raises(FileNotFoundError):
-            attach_segment(descriptor)
-
-    def test_close_is_idempotent_and_tolerates_empty(self):
-        store = SharedArrayStore()
-        store.close()
-        store.close()
-
-    def test_worker_crash_leaves_no_segments(self):
-        """A worker dying mid-batch must not leak the parent's segment.
-
-        The parent owns every segment it published: after ``rebuild()``
-        replaces the crashed processes, ``store.close()`` still unlinks
-        everything — /dev/shm ends exactly where it started.
-        """
-        before = _shm_segments()
-        store = SharedArrayStore()
-        pool = WarmWorkerPool(2)
-        try:
-            descriptor = store.publish({"x": np.arange(8.0)})
-            with pytest.raises(BrokenProcessPool):
-                pool.submit(_attach_then_die, descriptor).result()
-            pool.rebuild()
-            # The rebuilt pool is immediately usable again.
-            assert pool.submit(_pool_square, 5).result() == 25
-        finally:
-            pool.close()
-            store.close()
-        assert _shm_segments() == before
-
-
-# --------------------------------------------------------------------- #
-# Batching: one pickle per point, outcomes identical to per-item path   #
-# --------------------------------------------------------------------- #
-
-
-class TestBatching:
-    def test_plan_batches_never_spans_points(self):
-        executor = ParallelSweepExecutor(2)
-        config_a = tiny_config()
-        config_b = tiny_config(seed=7)
-        items = [SweepWorkItem(0, rep, config_a) for rep in range(3)]
-        items += [SweepWorkItem(1, rep, config_b) for rep in range(2)]
-        batches = executor._plan_batches(items)
-        # Flattened batches preserve exact submission order.
-        assert [item for batch in batches for item in batch] == items
-        for batch in batches:
-            assert len({(i.point_index, i.config) for i in batch}) == 1
-
-    def test_plan_batches_chunks_large_points_for_pipelining(self):
-        executor = ParallelSweepExecutor(2)
-        items = [SweepWorkItem(0, rep, tiny_config()) for rep in range(8)]
-        batches = executor._plan_batches(items)
-        # 8 items / (2 * 2 workers) = chunks of 2: the single point is
-        # split so the pool is never serialized onto one worker.
-        assert len(batches) == 4
-        assert all(len(batch) == 2 for batch in batches)
-
-    def test_batch_with_shm_topology_matches_per_item_path(self):
-        """Parent-deployed shm topology reproduces worker-deployed runs.
-
-        Runs the batched entry point inline with a published segment and
-        compares against ``execute_work_item`` (which deploys its own
-        topology from the placement streams): the measurements must be
-        indistinguishable, proving the CSR graph round-trip and
-        ``install_graph`` rebuild are exact.
-        """
-        config = tiny_config()
-        items = [SweepWorkItem(0, rep, config) for rep in range(2)]
-        reference = [execute_work_item(item) for item in items]
-        with SharedArrayStore() as store:
-            batch = ParallelSweepExecutor._publish_batch(store, items)
-            outcomes = execute_work_batch(batch)
-        detach_all()
-        assert [o.measurement for o in outcomes] == [
-            o.measurement for o in reference
+def _serial_reference(configs):
+    """Serial measurements plus the serial run's metric snapshot."""
+    recorder = MetricsRecorder()
+    with obs.use_recorder(recorder):
+        serial = [
+            run_comparison_repetition(config, rep)
+            for config in configs
+            for rep in range(2)
         ]
-        assert [(o.point_index, o.repetition) for o in outcomes] == [
-            (0, 0),
-            (0, 1),
-        ]
+    return serial, recorder.snapshot()
 
 
-# --------------------------------------------------------------------- #
-# Warm executor: byte-identity across reuse, no shm leaks               #
-# --------------------------------------------------------------------- #
+def _merged_snapshot(outcomes):
+    """Fold worker snapshots in submission order, as the sweep drivers do."""
+    recorder = MetricsRecorder()
+    with obs.use_recorder(recorder):
+        for outcome in outcomes:
+            obs.merge_snapshot(outcome.metrics, outcome.profile)
+    return recorder.snapshot()
 
 
 class TestWarmExecutorDeterminism:
@@ -521,50 +409,41 @@ class TestWarmExecutorDeterminism:
     def test_context_entered_executor_is_byte_identical(self, workers):
         """A reused warm pool changes wall-clock and nothing else.
 
-        Two sweep points (different configs) exercise batching across
-        point boundaries; two consecutive ``run_items`` calls inside one
-        ``with`` block exercise pool/store reuse.  Every measurement —
-        including post-run RNG stream positions — must equal the serial
-        reference on both passes.
+        Two sweep points (different configs) and two consecutive
+        ``run_items`` calls inside one ``with`` block: the second call
+        reuses the pool the first one spawned.  On both passes every
+        measurement, every post-run RNG stream position and the merged
+        metric snapshot must equal the serial reference.
         """
-        before = _shm_segments()
-        config_a = tiny_config()
-        config_b = tiny_config(p_t=0.2)
-        serial = [
-            run_comparison_repetition(config, rep)
-            for config in (config_a, config_b)
-            for rep in range(2)
-        ]
+        configs = (tiny_config(), tiny_config(p_t=0.2))
+        serial, serial_snapshot = _serial_reference(configs)
         items = [
-            SweepWorkItem(index, rep, config)
-            for index, config in enumerate((config_a, config_b))
+            SweepWorkItem(index, rep, config, collect_metrics=True)
+            for index, config in enumerate(configs)
             for rep in range(2)
         ]
         with ParallelSweepExecutor(workers) as executor:
-            first = executor.run_items(items)
-            second = executor.run_items(items)  # warm reuse, same pool
-        assert [o.measurement for o in first] == serial
-        assert [o.measurement for o in second] == serial
-        assert [m.rng_positions for m in serial] == [
-            o.measurement.rng_positions for o in first
-        ]
-        assert _shm_segments() == before
-
-    def test_injected_pool_is_borrowed_never_closed(self):
-        config = tiny_config()
-        items = [SweepWorkItem(0, rep, config) for rep in range(2)]
-        serial = [run_comparison_repetition(config, rep) for rep in range(2)]
-        with WarmWorkerPool(2) as pool:
-            with ParallelSweepExecutor(2, pool=pool) as executor:
-                outcomes = executor.run_items(items)
-            # Exiting the executor must leave the injected pool warm —
-            # it belongs to the caller (e.g. the service daemon).
-            assert pool.alive
+            passes = [executor.run_items(items), executor.run_items(items)]
+        for outcomes in passes:
             assert [o.measurement for o in outcomes] == serial
-            # And usable again outside any executor context.
-            transient = ParallelSweepExecutor(2, pool=pool).run_items(items)
-            assert [o.measurement for o in transient] == serial
-        assert not pool.alive
+            assert [o.measurement.rng_positions for o in outcomes] == [
+                m.rng_positions for m in serial
+            ]
+            assert [(o.point_index, o.repetition) for o in outcomes] == [
+                (item.point_index, item.repetition) for item in items
+            ]
+            assert _merged_snapshot(outcomes) == serial_snapshot
+
+    def test_unentered_multi_worker_executor_raises(self):
+        items = [SweepWorkItem(0, 0, tiny_config())]
+        executor = ParallelSweepExecutor(2)
+        with pytest.raises(RuntimeError, match="with"):
+            executor.run_items(items)
+        with executor:
+            executor.run_items(items)
+        # Leaving the block closed the pool; nothing reopens it silently.
+        with pytest.raises(RuntimeError, match="with"):
+            executor.run_items(items)
 
     def test_reentering_executor_raises(self):
         executor = ParallelSweepExecutor(2)

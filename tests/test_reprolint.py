@@ -289,30 +289,6 @@ RULE_FIXTURES = {
             "__all__ = ['work', 'launch']\n"
         ),
     ),
-    "PERF003": (
-        "repro/perf/segments.py",
-        (
-            "from multiprocessing import shared_memory\n\n\n"
-            "def publish(payload):\n"
-            "    shm = shared_memory.SharedMemory(create=True, size=len(payload))\n"
-            "    shm.buf[: len(payload)] = payload\n"
-            "    return shm.name\n\n\n"
-            "__all__ = ['publish']\n"
-        ),
-        (
-            "from multiprocessing import shared_memory\n\n\n"
-            "def publish(payload):\n"
-            "    shm = shared_memory.SharedMemory(create=True, size=len(payload))\n"
-            "    try:\n"
-            "        shm.buf[: len(payload)] = payload\n"
-            "    except BaseException:\n"
-            "        shm.close()\n"
-            "        shm.unlink()\n"
-            "        raise\n"
-            "    return shm.name\n\n\n"
-            "__all__ = ['publish']\n"
-        ),
-    ),
     "DET003": (
         "repro/obs/publish.py",
         (
