@@ -37,6 +37,14 @@ class AddcPolicy:
         # recovered backbone member comes back *as backbone* and its
         # stranded former descendants can re-adopt it.
         self._saved_roles = {}
+        # Tree version: bumped on every departure and successful rejoin,
+        # the only events that change which nodes can attach.  A rejoin
+        # that failed at the current version fails again without a scan.
+        self._tree_version = 0
+        self._failed_at = {}
+        # Departure repairs leave deeper depths stale; a rejoin alone
+        # keeps them exact (the rejoining node is a leaf).
+        self._depths_stale = False
 
     def next_hop(self, node: int, packet: Packet) -> int:
         """Forward to the collection-tree parent, whatever the packet."""
@@ -64,6 +72,8 @@ class AddcPolicy:
             )
         from repro.graphs.repair import detach_node, orphaned_subtree
 
+        self._tree_version += 1
+        self._depths_stale = True
         partitioned = []
         for child in detach_node(self.tree, self.graph, node):
             subtree = orphaned_subtree(self.tree, child)
@@ -93,6 +103,14 @@ class AddcPolicy:
         neighbourhood is still down waits.  On success the node's
         pre-outage role is restored and depths are refreshed so
         depth-ordered repairs stay consistent.
+
+        Both shortcuts below are exact.  Whether an attach fails depends
+        only on the tree's ``parent`` and ``roles``, which change only at
+        departures and successful rejoins, so a node that failed since the
+        last such event fails again.  A rejoining node has no children (a
+        repair detaches or strands every child of a down node, and nothing
+        attaches under a detached one), so attaching it sets its own depth
+        exactly; only a departure repair leaves other depths stale.
         """
         if self.graph is None:
             raise ConfigurationError(
@@ -101,14 +119,20 @@ class AddcPolicy:
             )
         from repro.graphs.repair import attach_node, refresh_depths
 
+        if self._failed_at.get(node) == self._tree_version:
+            return False
         try:
             attach_node(self.tree, self.graph, node)
         except GraphError:
+            self._failed_at[node] = self._tree_version
             return False
+        self._tree_version += 1
         saved = self._saved_roles.pop(node, None)
         if saved is not None:
             self.tree.roles[node] = saved
-        refresh_depths(self.tree)
+        if self._depths_stale:
+            refresh_depths(self.tree)
+            self._depths_stale = False
         return True
 
     def describe(self) -> str:

@@ -125,8 +125,8 @@ def _figures(manifest: Dict) -> Dict[str, _Figure]:
                 )
     engine = extra.get("engine")
     if isinstance(engine, dict):
-        # Both engine figures are same-machine normalized — per-slot cost
-        # and an on/off ratio measured in one run — so both gate.
+        # The timed engine figures are same-machine normalized — per-slot
+        # cost and an on/off ratio measured in one run — so they gate.
         if isinstance(engine.get("wall_us_per_slot"), (int, float)):
             figures["engine_wall_us_per_slot"] = _Figure(
                 float(engine["wall_us_per_slot"])
@@ -134,6 +134,11 @@ def _figures(manifest: Dict) -> Dict[str, _Figure]:
         if isinstance(engine.get("fastforward_ratio"), (int, float)):
             figures["engine_fastforward_ratio"] = _Figure(
                 float(engine["fastforward_ratio"]), higher_better=True
+            )
+        # A deterministic work count: it repeats exactly on any machine.
+        if isinstance(engine.get("rng_rows_per_slot"), (int, float)):
+            figures["engine_rng_rows_per_slot"] = _Figure(
+                float(engine["rng_rows_per_slot"])
             )
     resilience = extra.get("resilience")
     if isinstance(resilience, dict):

@@ -125,14 +125,23 @@ def _bench_sweep(config: ExperimentConfig, reps: int, workers: int) -> Dict:
     }
 
 
-def _bench_engine(config: ExperimentConfig) -> Dict:
-    """Time one ADDC collection with fast-forward off, then on.
+#: Timed runs per fast-forward mode; the bench reports min and median.
+ENGINE_REPEATS = 3
 
-    Both runs share one deployment and re-derive identical engine
-    streams; the fast-forward run must reproduce the plain run exactly —
-    the full :class:`~repro.sim.results.SimulationResult` *and* the
-    post-run RNG stream positions — or the bench fails.  The ratio is a
-    same-machine figure, so the ratchet gates it.
+
+def _bench_engine(config: ExperimentConfig) -> Dict:
+    """Time one ADDC collection with fast-forward off and on, 3 runs each.
+
+    All runs share one deployment and re-derive identical engine
+    streams; every run must reproduce an untimed plain run exactly — the
+    full :class:`~repro.sim.results.SimulationResult` *and* the post-run
+    RNG stream positions — or the bench fails.  The modes alternate, and
+    each reports the min (the headline ``plain_s`` / ``fastforward_s``)
+    and the median of its runs (a single run per mode varied by up to 28%
+    within one process).  The ratio is a same-machine figure, so the ratchet gates
+    it.  ``rng_rows_generated`` is a deterministic work count: uniform
+    rows the fast-forwarded run's row streams generated, about one per
+    logical slot per stream.
     """
     from repro.core.collector import run_addc_collection
     from repro.network.deployment import deploy_crn
@@ -160,20 +169,34 @@ def _bench_engine(config: ExperimentConfig) -> Dict:
         )
         return obs.monotonic_s() - start, outcome
 
-    off_s, off = run(fast_forward=False)
-    on_s, on = run(fast_forward=True)
-    if on.result != off.result:
-        raise PerfBenchError("fast-forward changed the simulation result")
-    if on.engine.rng_positions() != off.engine.rng_positions():
-        raise PerfBenchError("fast-forward changed the RNG stream positions")
+    timings: Dict[bool, List[float]] = {False: [], True: []}
+    _, off = run(fast_forward=False)  # untimed warm-up and the reference
+    for _ in range(ENGINE_REPEATS):
+        for fast_forward in (False, True):
+            elapsed, outcome = run(fast_forward)
+            timings[fast_forward].append(elapsed)
+            label = "fast-forward" if fast_forward else "a repeated plain run"
+            if outcome.result != off.result:
+                raise PerfBenchError(f"{label} changed the simulation result")
+            if outcome.engine.rng_positions() != off.engine.rng_positions():
+                raise PerfBenchError(f"{label} changed the RNG stream positions")
+            if fast_forward:
+                on = outcome
+    off_s, on_s = min(timings[False]), min(timings[True])
     slots = max(int(on.result.slots_simulated), 1)
+    rows = int(on.engine.rng_rows_generated)
     return {
         "slots": slots,
+        "repeats": ENGINE_REPEATS,
         "plain_s": off_s,
+        "plain_median_s": float(np.median(timings[False])),
         "fastforward_s": on_s,
+        "fastforward_median_s": float(np.median(timings[True])),
         "wall_us_per_slot": on_s / slots * 1e6,
         "fastforward_ratio": off_s / on_s if on_s > 0 else 0.0,
         "fastforward_fraction": float(on.engine.fastforward_slots) / slots,
+        "rng_rows_generated": rows,
+        "rng_rows_per_slot": rows / slots,
     }
 
 
@@ -272,10 +295,13 @@ def run_perf_bench(
         f"({sweep['warm_parallel_speedup']:.2f}x, {os.cpu_count()} cpu)"
     )
     print(
-        f"engine  : {engine['slots']} slots plain {engine['plain_s']:.2f} s, "
-        f"fast-forward {engine['fastforward_s']:.2f} s "
-        f"({engine['fastforward_ratio']:.2f}x, "
-        f"{engine['fastforward_fraction']:.0%} of slots skipped)"
+        f"engine  : {engine['slots']} slots plain {engine['plain_s']:.2f} s "
+        f"(median {engine['plain_median_s']:.2f}), fast-forward "
+        f"{engine['fastforward_s']:.2f} s "
+        f"(median {engine['fastforward_median_s']:.2f}; min of "
+        f"{engine['repeats']}; {engine['fastforward_ratio']:.2f}x, "
+        f"{engine['fastforward_fraction']:.0%} of slots skipped, "
+        f"{engine['rng_rows_per_slot']:.3f} rng rows/slot)"
     )
     print(
         f"spatial : scalar {spatial['scalar_s']:.3f} s, vectorized "

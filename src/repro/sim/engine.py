@@ -63,7 +63,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.network.primary import BernoulliActivity, MarkovActivity
 from repro.network.topology import CrnTopology
-from repro.rng import StreamFactory
+from repro.rng import RowStream, StreamFactory
 from repro.sim.packet import Packet
 from repro.sim.policies import MacPolicy
 from repro.sim.results import FaultRecord, PacketRecord, SimulationResult
@@ -74,12 +74,6 @@ __all__ = ["SlottedEngine"]
 
 #: Distances below this are clamped when evaluating SIR.
 _MIN_DISTANCE = 1e-6
-
-#: Fast-forward peek chunk bounds: start small (a failed peek rewinds and
-#: re-consumes, so short frozen runs should waste little), double while the
-#: frozen run keeps going, and cap the per-chunk draw matrix size.
-_FF_MIN_CHUNK = 16
-_FF_MAX_CHUNK = 4096
 
 
 class SlottedEngine:
@@ -185,14 +179,16 @@ class SlottedEngine:
         expire (every eligible node senses busy), no hold-off window ends,
         no packet completes, no arrival is born, and no fault event fires —
         and advances the slot counter over that whole run in one vectorized
-        step.  The skipped slots' PU-activity and sensing draws are batch-
-        consumed (``random((k, n))`` advances a generator exactly like
-        ``k`` sequential ``random(n)`` calls), so results *and* post-run
-        RNG stream positions are bit-identical to the slot-by-slot loop.
-        Scenarios outside the proof obligations (multi-channel plans,
-        energy detectors, slot hooks, replayed activity traces, pinned
-        sensing faults, in-flight multi-slot packets) fall back to the
-        ordinary loop automatically.
+        step.  Every per-slot PU-activity and sensing row, stepped or
+        skipped, comes from one forward-only
+        :class:`~repro.rng.RowStream` per stream: the look-ahead reads
+        buffered rows and consumes exactly the frozen prefix, so both
+        modes read the same rows in the same order and results *and*
+        post-run RNG stream positions are bit-identical to the
+        slot-by-slot loop.  Scenarios outside the proof obligations
+        (multi-channel plans, energy detectors, slot hooks, replayed
+        activity traces, pinned sensing faults, in-flight multi-slot
+        packets) fall back to the ordinary loop automatically.
     trace:
         Optional :class:`~repro.sim.trace.TraceLog` to record events into.
     fault_plan:
@@ -477,16 +473,30 @@ class SlottedEngine:
         self._slot = 0
         self._started = False
 
-        # Frozen-slot fast-forward: statically eligible scenarios only;
-        # dynamic hazards (in-flight packets, fault windows, pinned
-        # sensing) are re-checked per attempt in _try_fast_forward.
-        self.fast_forward = bool(fast_forward)
+        # Forward-only row streams: the stepped slot, the fast-forward scan,
+        # the blind skip and the detector all take their per-slot uniforms
+        # from these, one row per slot.  A geometric activity model without
+        # a batch form (e.g. a replayed trace) draws for itself instead.
+        self._sensing_rows = RowStream(self._sensing_rng, num_nodes)
         if blocking == "homogeneous":
             activity_supported = True
+            self._pu_rows: Optional[RowStream] = RowStream(
+                self._pu_rng, num_nodes * self._num_channels
+            )
         else:
             activity_supported = isinstance(
                 topology.primary.activity, (BernoulliActivity, MarkovActivity)
             )
+            self._pu_rows = (
+                RowStream(self._pu_rng, topology.primary.num_pus)
+                if activity_supported
+                else None
+            )
+
+        # Frozen-slot fast-forward: statically eligible scenarios only;
+        # dynamic hazards (in-flight packets, fault windows, pinned
+        # sensing) are re-checked per attempt in _try_fast_forward.
+        self.fast_forward = bool(fast_forward)
         self._ff_enabled = (
             self.fast_forward
             and slot_hook is None
@@ -878,9 +888,12 @@ class SlottedEngine:
         if self._started:
             raise SimulationError("engine instances are single-use")
         self._started = True
-        self._initialize_pu_states()
-        with obs.span("engine.run"):
-            result = self._run_loop()
+        try:
+            self._initialize_pu_states()
+            with obs.span("engine.run"):
+                result = self._run_loop()
+        finally:
+            self._sync_streams()
         if obs.enabled():
             self._publish_metrics(result)
         return result
@@ -930,6 +943,7 @@ class SlottedEngine:
         obs.counter_add("engine.pu_violations", result.pu_violations)
         obs.counter_add("engine.frozen_slots", result.frozen_slot_count)
         obs.counter_add("engine.fastforward_slots", self._ff_slots)
+        obs.counter_add("engine.rng_rows_generated", self.rng_rows_generated)
         obs.counter_add("engine.fault_events", result.fault_event_count)
         obs.gauge_set("engine.max_backlog", result.max_backlog)
         for record in result.deliveries:
@@ -957,7 +971,12 @@ class SlottedEngine:
             self._draw_homogeneous_blocking()
             return
         activity = self.topology.primary.activity
-        self._pu_states = activity.next_states(self._pu_states, self._pu_rng)
+        if self._pu_rows is None:
+            self._pu_states = activity.next_states(self._pu_states, self._pu_rng)
+        else:
+            self._pu_states = activity.next_states_batch(
+                self._pu_states, self._pu_rows.take(1)
+            )[0]
         self._recompute_pu_busy()
 
     def _draw_homogeneous_blocking(self) -> None:
@@ -965,11 +984,13 @@ class SlottedEngine:
         # slot (and, in multi-channel mode, per channel) with probability
         # 1 - p_o.  PU interference is folded into the blocking, so
         # _pu_states stays all-inactive.
+        draws = self._pu_rows.take(1)[0]
         if self._num_channels == 1:
-            blocked = self._pu_rng.random(self._num_nodes) >= self.homogeneous_p_o
-            self._pu_busy = blocked.astype(np.uint8)
+            # Boolean, not the geometric mode's uint8 counts: every reader
+            # only asks ``> 0``.
+            self._pu_busy = draws >= self.homogeneous_p_o
             return
-        draws = self._pu_rng.random((self._num_nodes, self._num_channels))
+        draws = draws.reshape(self._num_nodes, self._num_channels)
         self._busy_columns = (draws >= self.homogeneous_p_o).astype(np.int64).T
 
     def _recompute_pu_busy(self) -> None:
@@ -1007,13 +1028,13 @@ class SlottedEngine:
         arrival is born, or a fault event fires.  Inside the window the
         eligible-waiter set is constant, so a slot is frozen exactly when
         every waiter senses busy — a pure function of that slot's
-        PU-activity and sensing-error draws, evaluated here in batches.
+        PU-activity and sensing-error rows, evaluated here in batches.
 
-        RNG contract: every skipped slot consumes exactly the draws the
-        ordinary loop would have consumed (one ``random(n)`` per stream
-        per slot, batch-drawn), and a peek past the end of the frozen run
-        is rewound via ``bit_generator.state`` and re-consumed to the
-        exact prefix.  Post-run ``rng_positions()`` are bit-identical.
+        RNG contract: the look-ahead reads rows buffered in the streams'
+        :class:`~repro.rng.RowStream` and consumes exactly the frozen
+        prefix; the first non-frozen slot's rows stay buffered for the
+        ordinary loop.  Both modes therefore read the same rows in the
+        same order, and post-run ``rng_positions()`` are bit-identical.
         """
         slot = self._slot
         if (
@@ -1043,7 +1064,7 @@ class SlottedEngine:
         else:
             # No waiter can even contend before the horizon (everyone is
             # holding, or nobody is backlogged): skip the window blind.
-            self._consume_frozen_draws(window)
+            self._skip_frozen_rows(window)
             skipped = window
         if skipped == 0:
             return
@@ -1061,68 +1082,56 @@ class SlottedEngine:
         self.last_slot_su_channels = []
         self.last_slot_active_pus = list(self._active_pu_list)
 
-    def _advance_pu_chunk(self, count: int) -> np.ndarray:
-        """Batch-advance geometric PU states by ``count`` slots.
+    def _skip_frozen_rows(self, count: int) -> None:
+        """Consume ``count`` slots' PU/sensing rows with no one contending.
 
-        One ``random((count, num_pus))`` fill consumes the pu-activity
-        stream exactly like ``count`` sequential ``next_states`` calls;
-        returns the per-slot state rows and leaves ``_pu_states`` at the
-        final row.
+        Mean-field blocking and sensing rows are skipped unseen (every
+        stepped slot redraws both); geometric PU states are advanced
+        through the rows, since the next slot continues from them.
         """
-        activity = self.topology.primary.activity
-        draws = self._pu_rng.random((count, self.topology.primary.num_pus))
-        states = activity.next_states_batch(self._pu_states, draws)
-        self._pu_states = states[-1]
-        return states
-
-    def _homogeneous_blocked_chunk(self, count: int) -> np.ndarray:
-        """Batch-draw ``count`` slots of mean-field blocking (single channel)."""
-        draws = self._pu_rng.random((count, self._num_nodes))
-        blocked = draws >= self.homogeneous_p_o
-        self._pu_busy = blocked[-1].astype(np.uint8)
-        return blocked
-
-    def _consume_frozen_draws(self, count: int) -> None:
-        """Consume ``count`` slots' PU/sensing draws with no one contending."""
-        remaining = count
-        while remaining > 0:
-            chunk = min(remaining, _FF_MAX_CHUNK)
-            if self.blocking == "homogeneous":
-                self._homogeneous_blocked_chunk(chunk)
-            else:
-                self._advance_pu_chunk(chunk)
-            if self._imperfect_sensing:
-                self._sensing_rng.random((chunk, self._num_nodes))
-            remaining -= chunk
+        if self.blocking == "homogeneous":
+            self._pu_rows.skip(count)
+        else:
+            activity = self.topology.primary.activity
+            remaining = count
+            while remaining > 0:
+                chunk = min(remaining, self._pu_rows.block_rows)
+                self._pu_states = activity.next_states_batch(
+                    self._pu_states, self._pu_rows.take(chunk)
+                )[-1]
+                remaining -= chunk
+        if self._imperfect_sensing:
+            self._sensing_rows.skip(count)
 
     def _scan_frozen_prefix(self, waiters: np.ndarray, window: int) -> int:
-        """Length of the frozen-slot run starting now, capped at ``window``.
+        """Consume the frozen-slot run starting now, capped at ``window``.
 
-        Peeks in doubling chunks; when the run ends mid-chunk, rewinds the
-        streams to the chunk start and re-consumes exactly the frozen
-        prefix so the generators land where the serial loop would.
+        Looks at buffered rows in windows that start at one slot and
+        double while every slot stays frozen, then consumes exactly the
+        frozen prefix and returns its length.
         """
-        skipped = 0
-        chunk = _FF_MIN_CHUNK
-        remaining = window
         homogeneous = self.blocking == "homogeneous"
-        while remaining > 0:
-            count = min(chunk, remaining)
-            pu_rng_state = self._pu_rng.bit_generator.state
-            pu_states_before = self._pu_states
-            if self._imperfect_sensing:
-                sensing_rng_state = self._sensing_rng.bit_generator.state
+        activity = self.topology.primary.activity
+        pu_rows = self._pu_rows
+        sensing_rows = self._sensing_rows if self._imperfect_sensing else None
+        limit = pu_rows.block_rows
+        if sensing_rows is not None:
+            limit = min(limit, sensing_rows.block_rows)
+        if not homogeneous:
+            hearing = self._pu_incidence[waiters].T
+        skipped = 0
+        count = 1
+        while skipped < window:
+            count = min(count, window - skipped, limit)
             if homogeneous:
-                busy = self._homogeneous_blocked_chunk(count)[:, waiters]
+                busy = pu_rows.peek(count)[:, waiters] >= self.homogeneous_p_o
             else:
-                states = self._advance_pu_chunk(count)
-                busy = (
-                    states.astype(np.uint8) @ self._pu_incidence[waiters].T
-                ) > 0
-            if self._imperfect_sensing:
-                sensing = self._sensing_rng.random(
-                    (count, self._num_nodes)
-                )[:, waiters]
+                states = activity.next_states_batch(
+                    self._pu_states, pu_rows.peek(count)
+                )
+                busy = (states.astype(np.uint8) @ hearing) > 0
+            if sensing_rows is not None:
+                sensing = sensing_rows.peek(count)[:, waiters]
                 sensed = np.where(
                     busy,
                     sensing >= self.p_missed_detection,
@@ -1131,26 +1140,19 @@ class SlottedEngine:
             else:
                 sensed = busy
             frozen = sensed.all(axis=1)
-            if frozen.all():
-                skipped += count
-                remaining -= count
-                chunk = min(chunk * 2, _FF_MAX_CHUNK)
-                continue
-            prefix = int(frozen.argmin())
-            # The run ends inside this chunk: rewind both streams to the
-            # chunk start, then re-consume exactly the frozen prefix.
-            self._pu_rng.bit_generator.state = pu_rng_state
-            self._pu_states = pu_states_before
-            if self._imperfect_sensing:
-                self._sensing_rng.bit_generator.state = sensing_rng_state
+            prefix = int(frozen.argmin())  # the first thawed slot, if any
+            if frozen[prefix]:
+                prefix = count
             if prefix:
-                if homogeneous:
-                    self._homogeneous_blocked_chunk(prefix)
-                else:
-                    self._advance_pu_chunk(prefix)
-                if self._imperfect_sensing:
-                    self._sensing_rng.random((prefix, self._num_nodes))
-            return skipped + prefix
+                pu_rows.skip(prefix)
+                if sensing_rows is not None:
+                    sensing_rows.skip(prefix)
+                if not homogeneous:
+                    self._pu_states = states[prefix - 1]
+                skipped += prefix
+            if prefix < count:
+                break
+            count *= 2
         return skipped
 
     # ------------------------------------------------------------------ #
@@ -1225,7 +1227,7 @@ class SlottedEngine:
         node_channel = self._node_channel
         with obs.span("engine.phase.sensing"):
             if self._imperfect_sensing:
-                sensing_draws = self._sensing_rng.random(self._num_nodes)
+                sensing_draws = self._sensing_rows.take(1)[0]
             if self.detector is not None:
                 # Energy detection: P(sensed busy) = 1 - P(miss every active
                 # in-range PU) * P(no false alarm), vectorized per slot.
@@ -1714,6 +1716,24 @@ class SlottedEngine:
         """
         return self._ff_slots
 
+    @property
+    def rng_rows_generated(self) -> int:
+        """Uniform rows the per-slot row streams generated so far.
+
+        A deterministic work counter (published as
+        ``engine.rng_rows_generated``): about one row per stream per
+        stepped or scanned slot, plus at most one block of look-ahead per
+        run.  Blind-skipped rows are jumped over, never generated.
+        """
+        streams = (self._pu_rows, self._sensing_rows)
+        return sum(rows.rows_generated for rows in streams if rows is not None)
+
+    def _sync_streams(self) -> None:
+        """Position every wrapped generator as sequential draws would."""
+        self._sensing_rows.sync()
+        if self._pu_rows is not None:
+            self._pu_rows.sync()
+
     def rng_positions(self) -> Dict[str, str]:
         """Stable fingerprints of the engine's RNG stream states.
 
@@ -1721,11 +1741,13 @@ class SlottedEngine:
         bit-generator state.  Two runs that drew the same values in the
         same order end with equal fingerprints, so the parallel-executor
         determinism tests can assert "same draws" without shipping whole
-        generator states around.
+        generator states around.  The row streams are synced first, so a
+        mid-run call is exact too (it only drops the buffered look-ahead).
         """
         import hashlib
         import json
 
+        self._sync_streams()
         fingerprints: Dict[str, str] = {}
         for name, rng in (
             ("pu-activity", self._pu_rng),

@@ -10,6 +10,7 @@ import pytest
 # Modules whose docstrings carry runnable examples.
 MODULES = [
     "repro.rng.streams",
+    "repro.rng.rows",
     "repro.geometry.distance",
     "repro.geometry.region",
     "repro.geometry.spatial_index",

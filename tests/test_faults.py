@@ -614,3 +614,79 @@ class TestResilienceMetrics:
             result.delivered / result.num_packets
         )
         assert report.packets_orphaned == result.packets_orphaned
+
+
+class _AlwaysRefreshAddcPolicy(AddcPolicy):
+    """The rejoin repair without shortcuts: re-scan every attempt and
+    refresh every depth after every successful rejoin."""
+
+    def on_node_rejoin(self, node: int) -> bool:
+        from repro.errors import GraphError
+        from repro.graphs.repair import attach_node, refresh_depths
+
+        try:
+            attach_node(self.tree, self.graph, node)
+        except GraphError:
+            return False
+        saved = self._saved_roles.pop(node, None)
+        if saved is not None:
+            self.tree.roles[node] = saved
+        refresh_depths(self.tree)
+        return True
+
+
+class TestRejoinShortcutsAreExact:
+    """The failed-attach memo and lazy depth refresh change no outcome."""
+
+    def _run(self, topology, plan, policy_class, monkeypatch):
+        import repro.core.collector as collector
+
+        attempts = []
+        original = policy_class.on_node_rejoin
+
+        def counting(policy, node):
+            joined = original(policy, node)
+            attempts.append(joined)
+            return joined
+
+        monkeypatch.setattr(collector, "AddcPolicy", policy_class)
+        monkeypatch.setattr(policy_class, "on_node_rejoin", counting)
+        outcome = run_addc_collection(
+            topology,
+            StreamFactory(77).spawn("rejoin-shortcuts"),
+            blocking="homogeneous",
+            p_false_alarm=0.05,
+            fault_plan=plan,
+            # The run takes under 1,000 slots; a policy that never
+            # re-attaches fails fast instead of idling to the default cap.
+            max_slots=20_000,
+            with_bounds=False,
+        )
+        monkeypatch.undo()
+        return outcome, attempts
+
+    def test_outage_heavy_run_matches_reference_policy(
+        self, quick_topology, monkeypatch
+    ):
+        plan = chaos_plan(
+            quick_topology.secondary.su_ids(),
+            600,
+            intensity=1.0,
+            streams=StreamFactory(2026),
+            mean_downtime_slots=60.0,
+            sensing_fault_fraction=0.0,
+        )
+        fast, fast_attempts = self._run(
+            quick_topology, plan, AddcPolicy, monkeypatch
+        )
+        slow, slow_attempts = self._run(
+            quick_topology, plan, _AlwaysRefreshAddcPolicy, monkeypatch
+        )
+        # The scenario strands nodes and re-attaches many of them.
+        assert slow_attempts.count(False) > 50
+        assert slow.result.nodes_recovered > 20
+        assert fast_attempts == slow_attempts
+        assert asdict(fast.result) == asdict(slow.result)
+        assert fast.engine.rng_positions() == slow.engine.rng_positions()
+        assert fast.tree.parent == slow.tree.parent
+        assert fast.tree.depth == slow.tree.depth

@@ -523,6 +523,76 @@ class TestFastForwardEquivalence:
         off, on = self._pair(run_coolest_collection)
         self._assert_identical(off, on)
 
+    def test_addc_homogeneous_false_alarm(self):
+        off, on = self._pair(
+            run_addc_collection,
+            with_bounds=False,
+            blocking="homogeneous",
+            p_false_alarm=0.05,
+        )
+        self._assert_identical(off, on)
+        assert on.engine.fastforward_slots > 0
+
+    def test_fault_windows_bound_the_horizon(self):
+        from repro.faults import FaultEvent, FaultPlan
+
+        # Link-degradation and blackout windows leave every node able to
+        # contend, so the fast path stays armed but must stop at each
+        # onset and expiry slot.
+        plan = FaultPlan.from_events(
+            [
+                FaultEvent.link_degradation(
+                    slot=9, node=3, peer=0, until=61, extra_loss_db=6.0
+                ),
+                FaultEvent.bs_blackout(slot=40, until=47),
+                FaultEvent.link_degradation(
+                    slot=120, node=5, peer=0, until=400, extra_loss_db=3.0
+                ),
+            ]
+        )
+        off, on = self._pair(
+            run_addc_collection, with_bounds=False, fault_plan=plan
+        )
+        self._assert_identical(off, on)
+        assert on.engine.fastforward_slots > 0
+        assert on.result.fault_event_count == len(plan)
+
+    def test_continuous_arrivals(self):
+        off, on = self._pair(
+            run_addc_collection, with_bounds=False, rounds=3, period_slots=150
+        )
+        self._assert_identical(off, on)
+        assert on.engine.fastforward_slots > 0
+
+    def test_truncated_inside_a_frozen_run(self, monkeypatch):
+        # Record every fast-forward skip of an untruncated run, then cut a
+        # run off in the middle of the longest one: the fast path stops
+        # exactly at max_slots and must leave the streams where the plain
+        # loop does.
+        from repro.sim.engine import SlottedEngine
+
+        skips = []
+        original = SlottedEngine._try_fast_forward
+
+        def recording(engine):
+            before = engine.slot
+            original(engine)
+            if engine.slot > before:
+                skips.append((before, engine.slot))
+
+        monkeypatch.setattr(SlottedEngine, "_try_fast_forward", recording)
+        self._pair(run_addc_collection, with_bounds=False)
+        monkeypatch.undo()
+        start, end = max(skips, key=lambda skip: skip[1] - skip[0])
+        assert end - start >= 4
+        cut = start + (end - start) // 2
+        off, on = self._pair(
+            run_addc_collection, with_bounds=False, max_slots=cut
+        )
+        self._assert_identical(off, on)
+        assert not on.result.completed
+        assert on.result.slots_simulated == cut
+
 
 class TestBatchDrawEquivalence:
     """``next_states_batch`` must consume the stream like N serial calls."""
