@@ -80,24 +80,48 @@ def _run_parallel_once(
     return elapsed
 
 
+#: Timed runs of each repeated pass; the bench reports min and median.
+REPEATS = 3
+
+
 def _bench_sweep(config: ExperimentConfig, reps: int, workers: int) -> Dict:
     """Time the comparison repetitions serially and through the pool.
 
-    Three timed passes: serial, cold parallel (the first ``run_items``
-    of a freshly entered executor — spawn cost included, what a one-point
-    sweep pays), and warm parallel (a second ``run_items`` on the same
-    pool, which is what sweeps and the daemon actually pay per
-    point/job).  Every parallel pass is equality-checked against
-    serial — measurements, RNG positions, and merged metric snapshots —
-    so a drifting kernel fails the bench rather than skewing it.
+    The serial pass runs :data:`REPEATS` times and reports its min
+    (``serial_s``) and median; every repeat must reproduce the first
+    one's measurements and metric snapshot exactly.  Then two timed
+    parallel passes: cold (the first ``run_items`` of a freshly entered
+    executor — spawn cost included, what a one-point sweep pays) and
+    warm (a second ``run_items`` on the same pool, which is what sweeps
+    and the daemon actually pay per point/job).  Every parallel pass is
+    equality-checked against serial — measurements, RNG positions, and
+    merged metric snapshots — so a drifting kernel fails the bench
+    rather than skewing it.
     """
-    serial_recorder = obs.MetricsRecorder()
-    start = obs.monotonic_s()
-    with obs.use_recorder(serial_recorder):
-        serial: List[RepetitionMeasurement] = [
-            run_comparison_repetition(config, rep) for rep in range(reps)
-        ]
-    serial_s = obs.monotonic_s() - start
+
+    def serial_pass():
+        recorder = obs.MetricsRecorder()
+        start = obs.monotonic_s()
+        with obs.use_recorder(recorder):
+            measurements: List[RepetitionMeasurement] = [
+                run_comparison_repetition(config, rep) for rep in range(reps)
+            ]
+        return obs.monotonic_s() - start, measurements, recorder
+
+    elapsed, serial, serial_recorder = serial_pass()
+    serial_timings = [elapsed]
+    for _ in range(REPEATS - 1):
+        elapsed, measurements, recorder = serial_pass()
+        serial_timings.append(elapsed)
+        if list(map(_measurement_key, measurements)) != list(
+            map(_measurement_key, serial)
+        ):
+            raise PerfBenchError("a repeated serial pass changed its measurements")
+        if recorder.snapshot() != serial_recorder.snapshot():
+            raise PerfBenchError(
+                "a repeated serial pass changed its metric snapshot"
+            )
+    serial_s = min(serial_timings)
 
     items = [
         SweepWorkItem(
@@ -116,6 +140,8 @@ def _bench_sweep(config: ExperimentConfig, reps: int, workers: int) -> Dict:
         "repetitions": reps,
         "workers": workers,
         "serial_s": serial_s,
+        "serial_median_s": float(np.median(serial_timings)),
+        "repeats": REPEATS,
         "parallel_s": cold_s,
         "warm_parallel_s": warm_s,
         "parallel_speedup": serial_s / cold_s if cold_s > 0 else 0.0,
@@ -123,10 +149,6 @@ def _bench_sweep(config: ExperimentConfig, reps: int, workers: int) -> Dict:
         "serial_recorder": serial_recorder,
         "measurements": serial,
     }
-
-
-#: Timed runs per fast-forward mode; the bench reports min and median.
-ENGINE_REPEATS = 3
 
 
 def _bench_engine(config: ExperimentConfig) -> Dict:
@@ -139,9 +161,12 @@ def _bench_engine(config: ExperimentConfig) -> Dict:
     each reports the min (the headline ``plain_s`` / ``fastforward_s``)
     and the median of its runs (a single run per mode varied by up to 28%
     within one process).  The ratio is a same-machine figure, so the ratchet gates
-    it.  ``rng_rows_generated`` is a deterministic work count: uniform
-    rows the fast-forwarded run's row streams generated, about one per
-    logical slot per stream.
+    it.  The rest are deterministic work counts of the fast-forwarded
+    run: ``rng_rows_generated``, the uniform rows its row streams
+    generated (about one per logical slot per stream);
+    ``stepped_slots``, the slots it stepped rather than skipped;
+    ``ff_scans``, its look-aheads; and ``ff_empty_scans``, those that
+    skipped nothing.
     """
     from repro.core.collector import run_addc_collection
     from repro.network.deployment import deploy_crn
@@ -171,7 +196,7 @@ def _bench_engine(config: ExperimentConfig) -> Dict:
 
     timings: Dict[bool, List[float]] = {False: [], True: []}
     _, off = run(fast_forward=False)  # untimed warm-up and the reference
-    for _ in range(ENGINE_REPEATS):
+    for _ in range(REPEATS):
         for fast_forward in (False, True):
             elapsed, outcome = run(fast_forward)
             timings[fast_forward].append(elapsed)
@@ -187,7 +212,7 @@ def _bench_engine(config: ExperimentConfig) -> Dict:
     rows = int(on.engine.rng_rows_generated)
     return {
         "slots": slots,
-        "repeats": ENGINE_REPEATS,
+        "repeats": REPEATS,
         "plain_s": off_s,
         "plain_median_s": float(np.median(timings[False])),
         "fastforward_s": on_s,
@@ -197,6 +222,9 @@ def _bench_engine(config: ExperimentConfig) -> Dict:
         "fastforward_fraction": float(on.engine.fastforward_slots) / slots,
         "rng_rows_generated": rows,
         "rng_rows_per_slot": rows / slots,
+        "stepped_slots": slots - int(on.engine.fastforward_slots),
+        "ff_scans": int(on.engine.fastforward_scans),
+        "ff_empty_scans": int(on.engine.fastforward_empty_scans),
     }
 
 
@@ -204,7 +232,10 @@ def _bench_spatial(config: ExperimentConfig, loops: int) -> Dict:
     """Time scalar vs vectorized neighbor scans on one deployment-like set.
 
     Uses the same point counts, region, and radii as ``config`` so the
-    numbers reflect what the simulator actually asks of the index.
+    numbers reflect what the simulator actually asks of the index.  The
+    two loops alternate :data:`REPEATS` times; each reports the min
+    (``scalar_s`` / ``vectorized_s``) and median of its timings, and
+    every repeat must return exactly what the first scalar loop did.
     """
     side = float(np.sqrt(config.area))
     rng = StreamFactory(config.seed).spawn("perf-bench").stream("spatial")
@@ -212,32 +243,45 @@ def _bench_spatial(config: ExperimentConfig, loops: int) -> Dict:
     pu_positions = rng.random((max(config.num_pus, 1), 2)) * side
     radius = config.su_radius
 
-    start = obs.monotonic_s()
-    for _ in range(loops):
-        scalar = ScalarGridIndex(su_positions, radius)
-        scalar_neighbors = scalar.neighbor_lists(radius)
-        scalar_cross = scalar.cross_neighbor_lists(pu_positions, radius)
-    scalar_s = obs.monotonic_s() - start
+    def scan(index_type):
+        start = obs.monotonic_s()
+        for _ in range(loops):
+            index = index_type(su_positions, radius)
+            neighbors = index.neighbor_lists(radius)
+            cross = index.cross_neighbor_lists(pu_positions, radius)
+        return obs.monotonic_s() - start, neighbors, cross
 
-    start = obs.monotonic_s()
-    for _ in range(loops):
-        vectorized = GridIndex(su_positions, radius)
-        vectorized_neighbors = vectorized.neighbor_lists(radius)
-        vectorized_cross = vectorized.cross_neighbor_lists(pu_positions, radius)
-    vectorized_s = obs.monotonic_s() - start
-
-    if vectorized_neighbors != scalar_neighbors:
-        raise PerfBenchError("vectorized neighbor_lists diverged from scalar")
-    if vectorized_cross != scalar_cross:
-        raise PerfBenchError(
-            "vectorized cross_neighbor_lists diverged from scalar"
-        )
+    timings: Dict[str, List[float]] = {"scalar": [], "vectorized": []}
+    expected = None
+    for _ in range(REPEATS):
+        for label, index_type in (
+            ("scalar", ScalarGridIndex),
+            ("vectorized", GridIndex),
+        ):
+            elapsed, neighbors, cross = scan(index_type)
+            timings[label].append(elapsed)
+            if expected is None:
+                expected = neighbors, cross
+                continue
+            if neighbors != expected[0]:
+                raise PerfBenchError(
+                    f"{label} neighbor_lists diverged from the first scalar loop"
+                )
+            if cross != expected[1]:
+                raise PerfBenchError(
+                    f"{label} cross_neighbor_lists diverged from the first "
+                    "scalar loop"
+                )
+    scalar_s, vectorized_s = min(timings["scalar"]), min(timings["vectorized"])
     return {
         "points": int(config.num_sus),
         "cross_points": int(max(config.num_pus, 1)),
         "loops": loops,
+        "repeats": REPEATS,
         "scalar_s": scalar_s,
+        "scalar_median_s": float(np.median(timings["scalar"])),
         "vectorized_s": vectorized_s,
+        "vectorized_median_s": float(np.median(timings["vectorized"])),
         "speedup": scalar_s / vectorized_s if vectorized_s > 0 else 0.0,
     }
 
@@ -288,7 +332,8 @@ def run_perf_bench(
     obs.write_manifest(out, manifest)
 
     print(
-        f"sweep   : {reps} repetition(s) serial {sweep['serial_s']:.2f} s, "
+        f"sweep   : {reps} repetition(s) serial {sweep['serial_s']:.2f} s "
+        f"(median {sweep['serial_median_s']:.2f}; min of {sweep['repeats']}), "
         f"{workers} worker(s) cold {sweep['parallel_s']:.2f} s "
         f"({sweep['parallel_speedup']:.2f}x) warm "
         f"{sweep['warm_parallel_s']:.2f} s "
@@ -301,11 +346,17 @@ def run_perf_bench(
         f"(median {engine['fastforward_median_s']:.2f}; min of "
         f"{engine['repeats']}; {engine['fastforward_ratio']:.2f}x, "
         f"{engine['fastforward_fraction']:.0%} of slots skipped, "
-        f"{engine['rng_rows_per_slot']:.3f} rng rows/slot)"
+        f"{engine['rng_rows_per_slot']:.3f} rng rows/slot, "
+        f"{engine['stepped_slots']} stepped slots, "
+        f"{engine['ff_scans']} look-aheads of which "
+        f"{engine['ff_empty_scans']} empty)"
     )
     print(
-        f"spatial : scalar {spatial['scalar_s']:.3f} s, vectorized "
-        f"{spatial['vectorized_s']:.3f} s ({spatial['speedup']:.2f}x, "
+        f"spatial : scalar {spatial['scalar_s']:.3f} s "
+        f"(median {spatial['scalar_median_s']:.3f}), vectorized "
+        f"{spatial['vectorized_s']:.3f} s "
+        f"(median {spatial['vectorized_median_s']:.3f}; min of "
+        f"{spatial['repeats']}; {spatial['speedup']:.2f}x, "
         f"{spatial['points']} points x {spatial['loops']} loop(s))"
     )
     print(

@@ -173,13 +173,16 @@ class SlottedEngine:
     max_slots:
         Safety cap; a run that exceeds it returns ``completed=False``.
     fast_forward:
-        Enable the frozen-slot fast-forward (default).  When the previous
-        slot put nothing on the air, the engine looks ahead for the run of
-        slots in which provably nothing can happen — no backoff timer can
-        expire (every eligible node senses busy), no hold-off window ends,
-        no packet completes, no arrival is born, and no fault event fires —
+        Enable the frozen-slot fast-forward (default).  Before every slot
+        it would step, the engine looks ahead for the run of slots in
+        which provably nothing can happen — no backoff timer can expire
+        (every eligible node senses busy), no hold-off window ends, no
+        packet completes, no arrival is born, and no fault event fires —
         and advances the slot counter over that whole run in one vectorized
-        step.  Every per-slot PU-activity and sensing row, stepped or
+        step.  The first slot the look-ahead finds thawed is stepped with
+        the ready set the look-ahead computed for it, so a slot is stepped
+        only when someone can contend in it or the horizon is reached.
+        Every per-slot PU-activity and sensing row, stepped or
         skipped, comes from one forward-only
         :class:`~repro.rng.RowStream` per stream: the look-ahead reads
         buffered rows and consumes exactly the frozen prefix, so both
@@ -504,10 +507,13 @@ class SlottedEngine:
             and self._num_channels == 1
             and activity_supported
         )
-        #: Armed after any slot with nothing on the air; slot 0 always
-        #: runs the ordinary loop (its PU states come from run()).
-        self._ff_armed = False
         self._ff_slots = 0
+        # Look-aheads made, and those that found the very next slot thawed.
+        self._ff_scans = 0
+        self._ff_empty_scans = 0
+        # ``(ready_nodes, frozen_by_pu)`` of the thawed slot a look-ahead
+        # stopped at, handed to that slot's _select_transmitters.
+        self._scanned_ready: Optional[Tuple[np.ndarray, int]] = None
 
         self._result = SimulationResult(
             num_packets=0, slot_duration_ms=self.slot_duration_ms
@@ -908,8 +914,9 @@ class SlottedEngine:
                 self._result.completed = False
                 self._result.slots_simulated = self._slot
                 return self._result
-            if self._ff_armed:
-                self._try_fast_forward()
+            if self._ff_enabled:
+                with obs.span("engine.phase.fast_forward"):
+                    self._try_fast_forward()
                 if self._slot >= self.max_slots:
                     continue
             with obs.span("engine.slot"):
@@ -943,6 +950,8 @@ class SlottedEngine:
         obs.counter_add("engine.pu_violations", result.pu_violations)
         obs.counter_add("engine.frozen_slots", result.frozen_slot_count)
         obs.counter_add("engine.fastforward_slots", self._ff_slots)
+        obs.counter_add("engine.ff_scans", self._ff_scans)
+        obs.counter_add("engine.ff_empty_scans", self._ff_empty_scans)
         obs.counter_add("engine.rng_rows_generated", self.rng_rows_generated)
         obs.counter_add("engine.fault_events", result.fault_event_count)
         obs.gauge_set("engine.max_backlog", result.max_backlog)
@@ -1021,14 +1030,17 @@ class SlottedEngine:
     def _try_fast_forward(self) -> None:
         """Advance over a maximal run of provably frozen slots in one step.
 
-        Called only when armed (the previous slot put nothing on the air)
-        and in statically eligible scenarios (``_ff_enabled``).  The
-        *horizon* is the first slot at which anything other than a frozen
-        wait could possibly happen: a hold-off window expires, a scheduled
-        arrival is born, or a fault event fires.  Inside the window the
-        eligible-waiter set is constant, so a slot is frozen exactly when
-        every waiter senses busy — a pure function of that slot's
-        PU-activity and sensing-error rows, evaluated here in batches.
+        Called before every stepped slot in statically eligible scenarios
+        (``_ff_enabled``).  The *horizon* is the first slot at which
+        anything other than a frozen wait could possibly happen: a
+        hold-off window expires, a scheduled arrival is born, or a fault
+        event fires.  Inside the window the eligible-waiter set is
+        constant, so a slot is frozen exactly when every waiter senses
+        busy — a pure function of that slot's PU-activity and
+        sensing-error rows, evaluated here in batches.  Nothing else of
+        the slot before matters: a frozen slot never reads a fairness
+        carry-over (``_extra_wait``), and the bulk update below zeroes it
+        as each skipped slot's end would have.
 
         RNG contract: the look-ahead reads rows buffered in the streams'
         :class:`~repro.rng.RowStream` and consumes exactly the frozen
@@ -1057,6 +1069,7 @@ class SlottedEngine:
             horizon = min(horizon, int(self._hold_until_slot[holding].min()))
         if horizon <= slot:
             return
+        self._ff_scans += 1
         waiters = np.nonzero(self._active_mask & ~holding)[0]
         window = horizon - slot
         if waiters.size:
@@ -1067,6 +1080,7 @@ class SlottedEngine:
             self._skip_frozen_rows(window)
             skipped = window
         if skipped == 0:
+            self._ff_empty_scans += 1
             return
         self._ff_slots += skipped
         self._slot = slot + skipped
@@ -1108,7 +1122,9 @@ class SlottedEngine:
 
         Looks at buffered rows in windows that start at one slot and
         double while every slot stays frozen, then consumes exactly the
-        frozen prefix and returns its length.
+        frozen prefix and returns its length.  When the run ends at a
+        thawed slot before ``window``, that slot's ready waiters and
+        frozen count are left in ``_scanned_ready`` for the stepped slot.
         """
         homogeneous = self.blocking == "homogeneous"
         activity = self.topology.primary.activity
@@ -1151,6 +1167,10 @@ class SlottedEngine:
                     self._pu_states = states[prefix - 1]
                 skipped += prefix
             if prefix < count:
+                # The thawed slot is stepped next with the same eligible
+                # set, so its ready set is already known here.
+                ready = waiters[~sensed[prefix]]
+                self._scanned_ready = (ready, int(waiters.size - ready.size))
                 break
             count *= 2
         return skipped
@@ -1236,11 +1256,16 @@ class SlottedEngine:
                     1.0 - self.detector.false_alarm_probability
                 )
             ongoing = self._ongoing
-            # Readiness scan, vectorized over full per-node arrays.  Every
-            # step is a mask (order-independent), so no container iteration
-            # order can leak into results; the stable sort below pins the
-            # ordering to (expiry, node), exactly the old sorted-tuple order.
-            if self._active:
+            if self._scanned_ready is not None:
+                # The fast-forward look-ahead stopped at this slot and has
+                # already sensed it, from the very rows this slot took.
+                ready_nodes, frozen_by_pu = self._scanned_ready
+                self._scanned_ready = None
+            elif self._active:
+                # Readiness scan, vectorized over full per-node arrays.
+                # Every step is a mask (order-independent), so no container
+                # iteration order can leak into results; the stable sort
+                # below pins the ordering to (expiry, node).
                 eligible = self._active_mask & (self._hold_until_slot <= self._slot)
                 if ongoing:
                     # Mid-transmission nodes (multi-slot packets) sit out.
@@ -1297,28 +1322,35 @@ class SlottedEngine:
             # ready_nodes is ascending, so a stable sort on expiry alone keeps
             # equal expiries in ascending-node order: the (expiry, node) key.
             order = np.argsort(expiries, kind="stable")
-            ready: List[Tuple[float, int]] = list(
-                zip(expiries[order].tolist(), ready_nodes[order].tolist())
+            ready_nodes = ready_nodes[order]
+            ready = zip(
+                expiries[order].tolist(),
+                ready_nodes.tolist(),
+                node_channel[ready_nodes].tolist(),
             )
 
         with obs.span("engine.phase.backoff"):
             neighbors = self.sense_map.su_neighbors
-            # One contention domain per channel: a transmission only freezes
-            # same-channel neighbors.
-            blocked_at: List[Dict[int, float]] = [
-                {} for _ in range(self._num_channels)
+            # Per channel (one contention domain each), the transmissions
+            # holding the spectrum in the order their holds began: those
+            # still in flight from earlier slots hold from the slot start,
+            # then this slot's transmitters in expiry order.  The first
+            # holder a node hears is therefore the one that blocked it
+            # earliest.
+            holders: List[List[Tuple[float, List[int]]]] = [
+                [] for _ in range(self._num_channels)
             ]
-            # Transmissions still in flight from earlier slots hold their
-            # neighborhoods from the very start of this slot.
-            for node, (_, channel, _, _) in self._ongoing.items():
-                channel_blocks = blocked_at[channel]
-                for neighbor in neighbors[node]:
-                    channel_blocks[neighbor] = 0.0
+            for node, (_, channel, _, _) in ongoing.items():
+                holders[channel].append((0.0, neighbors[node]))
             transmitters: List[Tuple[float, int, int, int]] = []
-            for expiry, node in ready:
-                channel = int(node_channel[node])
-                block_time = blocked_at[channel].get(node)
-                if block_time is not None and block_time <= expiry:
+            for expiry, node, channel in ready:
+                channel_holders = holders[channel]
+                block_time = None
+                for start, heard in channel_holders:
+                    if node in heard:
+                        block_time = start
+                        break
+                if block_time is not None:
                     # Frozen mid-countdown (lines 6-7): keep the remainder.
                     consumed = max(0.0, block_time - extra_wait[node])
                     backoff[node] = max(backoff[node] - consumed, 1e-12)
@@ -1336,11 +1368,7 @@ class SlottedEngine:
                 packet = self._queues[node][0]
                 receiver = self.policy.next_hop(node, packet)
                 transmitters.append((expiry, node, receiver, channel))
-                channel_blocks = blocked_at[channel]
-                for neighbor in neighbors[node]:
-                    current = channel_blocks.get(neighbor)
-                    if current is None or expiry < current:
-                        channel_blocks[neighbor] = expiry
+                channel_holders.append((expiry, neighbors[node]))
                 if self.trace is not None:
                     self.trace.record(
                         TraceEvent(
@@ -1404,24 +1432,25 @@ class SlottedEngine:
                 factor = self._link_loss.get((tx_nodes[index], rx_nodes[index]))
                 if factor is not None:
                     signal[index] *= factor
+        strengths = signal.tolist()
 
         # Capture rule: among links sharing a receiver, only the strongest
-        # signal can be decoded.  Group by receiver and take each group's
-        # running max; the winner is the *first* index achieving that max,
-        # matching the historical strictly-greater replacement scan.
-        receiver_groups, group_of = np.unique(rx_nodes, return_inverse=True)
-        best = np.full(receiver_groups.size, -np.inf)
-        np.maximum.at(best, group_of, signal)
-        achieves_max = np.nonzero(signal == best[group_of])[0]
-        first_winner = np.full(receiver_groups.size, count, dtype=np.int64)
-        np.minimum.at(first_winner, group_of[achieves_max], achieves_max)
-        ok = first_winner[group_of] == np.arange(count)
+        # signal can be decoded.  A later link replaces the receiver's
+        # current winner only when strictly stronger, so an exact tie goes
+        # to the first link.  A slot carries a handful of links, so a
+        # Python scan beats numpy grouping here.
+        winner: Dict[int, int] = {}
+        for index, receiver in enumerate(rx_nodes):
+            best = winner.get(receiver)
+            if best is None or strengths[index] > strengths[best]:
+                winner[receiver] = index
+        ok = [winner[receiver] == index for index, receiver in enumerate(rx_nodes)]
 
         if not self.sir_check:
             if completing is concurrent:
-                return ok.tolist()
+                return ok
             index_of = {node: index for index, node in enumerate(tx_nodes)}
-            return [bool(ok[index_of[node]]) for _, node, _, _ in completing]
+            return [ok[index_of[node]] for _, node, _, _ in completing]
 
         # Interference at each receiver: all other *same-channel* SU
         # transmitters ...
@@ -1454,13 +1483,20 @@ class SlottedEngine:
                 pu_terms = pu_terms * same_channel_pu
             interference = interference + pu_terms.sum(axis=1)
 
-        with np.errstate(divide="ignore"):
-            sir = np.where(interference > 0.0, signal / interference, np.inf)
-        success = ok & (sir >= self.eta_s)
+        # SIR test in Python floats: the same IEEE division and comparison
+        # as an elementwise numpy one; a link that hears no interference
+        # at all has infinite SIR.
+        eta_s = self.eta_s
+        success = [
+            captured and (noise <= 0.0 or strength / noise >= eta_s)
+            for captured, strength, noise in zip(
+                ok, strengths, interference.tolist()
+            )
+        ]
         if completing is concurrent:
-            return success.tolist()
+            return success
         index_of = {node: index for index, node in enumerate(tx_nodes)}
-        return [bool(success[index_of[node]]) for _, node, _, _ in completing]
+        return [success[index_of[node]] for _, node, _, _ in completing]
 
     def _handoff_check(self) -> None:
         """Abort in-flight transmissions whose channel a PU has reclaimed.
@@ -1520,9 +1556,6 @@ class SlottedEngine:
         else:
             with obs.span("engine.phase.frozen_wait"):
                 self._finish_slot(completing, outcomes)
-        # A slot with nothing on the air arms the fast-forward: the next
-        # slots are frozen candidates until someone transmits again.
-        self._ff_armed = self._ff_enabled and not concurrent
 
     def _finish_slot(
         self,
@@ -1715,6 +1748,24 @@ class SlottedEngine:
         compare equal between fast-forwarded and slot-by-slot runs.
         """
         return self._ff_slots
+
+    @property
+    def fastforward_scans(self) -> int:
+        """Fast-forward look-aheads: attempts that had a horizon ahead.
+
+        Telemetry like :attr:`fastforward_slots` (published as
+        ``engine.ff_scans``); a deterministic work count.
+        """
+        return self._ff_scans
+
+    @property
+    def fastforward_empty_scans(self) -> int:
+        """Look-aheads that skipped nothing: the next slot was thawed.
+
+        Published as ``engine.ff_empty_scans``.  Such a look-ahead still
+        pays off: the stepped slot reuses the ready set it computed.
+        """
+        return self._ff_empty_scans
 
     @property
     def rng_rows_generated(self) -> int:

@@ -467,8 +467,8 @@ class TestFastForwardEquivalence:
     have consumed.
     """
 
-    def _pair(self, run, activity=None, **kwargs):
-        config = tiny_config()
+    def _pair(self, run, activity=None, config=None, **kwargs):
+        config = config or tiny_config()
         topology = deploy_crn(
             config.deployment_spec(),
             StreamFactory(config.seed).spawn("rep-0"),
@@ -537,7 +537,7 @@ class TestFastForwardEquivalence:
         from repro.faults import FaultEvent, FaultPlan
 
         # Link-degradation and blackout windows leave every node able to
-        # contend, so the fast path stays armed but must stop at each
+        # contend, so the look-ahead keeps running but must stop at each
         # onset and expiry slot.
         plan = FaultPlan.from_events(
             [
@@ -563,6 +563,85 @@ class TestFastForwardEquivalence:
         )
         self._assert_identical(off, on)
         assert on.engine.fastforward_slots > 0
+
+    @staticmethod
+    def _record_scans(monkeypatch):
+        """Wrap the look-ahead; returns the list it appends one dict per
+        call to: the slots it started and ended at, whether the slot
+        before put something on the air, whether a fairness carry-over
+        was pending, and whether it stopped on a hold-off expiry."""
+        from repro.sim.engine import SlottedEngine
+
+        scans = []
+        original = SlottedEngine._try_fast_forward
+
+        def recording(engine):
+            start = engine.slot
+            after_tx = bool(engine.last_slot_su_links)
+            carry = bool(engine._extra_wait.any())
+            original(engine)
+            ends = engine._hold_until_slot[engine._active_mask]
+            scans.append({
+                "start": start,
+                "end": engine.slot,
+                "after_tx": after_tx,
+                "carry": carry,
+                "at_hold_off_end": engine.slot > start
+                and bool((ends == engine.slot).any()),
+            })
+
+        monkeypatch.setattr(SlottedEngine, "_try_fast_forward", recording)
+        return scans
+
+    @staticmethod
+    def _skipping(scans, key):
+        return [s for s in scans if s[key] and s["end"] > s["start"]]
+
+    def test_scan_right_after_a_fairness_wait(self, monkeypatch):
+        # ADDC's fairness wait (Algorithm 1, line 12) leaves the last
+        # transmitter a nonzero carry-over; the look-ahead may start in
+        # the very next slot, because a frozen slot never reads it and
+        # the bulk update zeroes it as each skipped slot's end would.
+        # The denser field makes neighbours contend in the same slot, so
+        # a carry-over the skip failed to zero would reorder them.
+        scans = self._record_scans(monkeypatch)
+        off, on = self._pair(
+            run_addc_collection,
+            config=tiny_config(num_sus=50, num_pus=6),
+            with_bounds=False,
+            blocking="homogeneous",
+        )
+        self._assert_identical(off, on)
+        assert on.engine.fastforward_slots > 0
+        assert self._skipping(scans, "carry")
+        assert self._skipping(scans, "after_tx")
+
+    def test_scan_after_collisions_stops_at_hold_off_ends(self, monkeypatch):
+        # Coolest senses at its transmission radius, so hidden terminals
+        # collide; on a denser tiny field collisions are frequent and the
+        # footnote-2 hold-offs bound the look-ahead's horizon.
+        scans = self._record_scans(monkeypatch)
+        off, on = self._pair(
+            run_coolest_collection,
+            config=tiny_config(num_sus=30, area=25.0 * 25.0),
+        )
+        self._assert_identical(off, on)
+        assert on.result.collisions >= 10
+        assert on.engine.fastforward_slots > 0
+        assert self._skipping(scans, "after_tx")
+        assert self._skipping(scans, "at_hold_off_end")
+
+    def test_scan_after_a_transmission_with_false_alarms(self, monkeypatch):
+        scans = self._record_scans(monkeypatch)
+        off, on = self._pair(
+            run_addc_collection,
+            with_bounds=False,
+            blocking="homogeneous",
+            p_false_alarm=0.05,
+        )
+        self._assert_identical(off, on)
+        assert on.engine.fastforward_slots > 0
+        assert self._skipping(scans, "after_tx")
 
     def test_truncated_inside_a_frozen_run(self, monkeypatch):
         # Record every fast-forward skip of an untruncated run, then cut a
